@@ -5,7 +5,8 @@ under quadratic Hamiltonians, Williamson diagonalization, entropies, and
 Wigner functions on grids, cross-checked by a truncated Fock-space oracle.
 """
 
-from . import fock
+import importlib
+
 from .dynamics import (
     GaussianChannel,
     LadderHamiltonian,
@@ -35,6 +36,7 @@ from .errors import (
     NotPureError,
     OrderingError,
     QuadratureError,
+    SelfCheckError,
     TruncationError,
     UnphysicalStateError,
 )
@@ -84,3 +86,11 @@ from .williamson import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The Fock oracle imports scipy, which dominates start-up time, and no
+    # CLI command uses it, so it is imported on first access (PEP 562).
+    if name == "fock":
+        return importlib.import_module(".fock", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError
 from .states import SYMMETRY_TOL, GaussianState
@@ -174,6 +173,10 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
+    # Imported here, not at module level: scipy.linalg roughly triples the
+    # package's start-up time, and only this function needs it.
+    from scipy.linalg import expm
+
     form = make_symplectic_form(h.n_modes, h.ordering)
     dim = 2 * h.n_modes
     m = form.omega_inv @ h.f_bar

@@ -79,8 +79,8 @@ def entanglement_entropy(
     Raises:
         NotPureError: if the global state is mixed; the quantity is then
             not an entanglement measure and is refused rather than returned.
-        IndexError: if the partition is empty, out of range, or the whole
-            system.
+        IndexError: if the partition is empty, out of range, repeats a
+            mode, or is the whole system.
     """
     report = purity(state, tol=PURITY_TOL)
     if not report.is_pure:
@@ -88,7 +88,9 @@ def entanglement_entropy(
             f"global state is mixed (purity {report.purity:.9f}); "
             "entanglement entropy is undefined"
         )
-    partition = sorted(set(partition))
+    partition = sorted(partition)
+    if len(set(partition)) != len(partition):
+        raise IndexError("partition contains duplicate mode indices")
     if len(partition) >= state.n_modes:
         raise IndexError("partition must be a proper subset of the modes")
     reduced = partial_trace(state, partition)

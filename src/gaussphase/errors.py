@@ -39,6 +39,11 @@ class DiagonalizationError(GaussPhaseError, RuntimeError):
     orthogonal intermediate matrix within tolerance."""
 
 
+class SelfCheckError(GaussPhaseError, RuntimeError):
+    """Raised when a closed-form construction disagrees with the
+    independent numerical reference it is checked against."""
+
+
 class QuadratureError(GaussPhaseError, RuntimeError):
     """Raised when a numerical Wigner transform leaves a non-negligible
     imaginary residue."""

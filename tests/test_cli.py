@@ -216,6 +216,14 @@ class TestEntropyCmd:
         code, _, _ = run(capsys, "entropy", str(path), "--subsystem", "0")
         assert code == 4
 
+    def test_duplicate_subsystem_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "tm.json"
+        run(capsys, "state", "make", "tmsv", "--r", "1", "--out", str(path))
+        code, out, err = run(capsys, "entropy", str(path), "--subsystem", "0,0")
+        assert code == 2
+        assert out == ""
+        assert "duplicate" in err
+
     def test_base_two(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         run(capsys, "state", "make", "thermal", "--nu", "2", "--out", str(path))

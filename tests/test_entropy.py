@@ -105,6 +105,13 @@ class TestEntanglementEntropy:
         with pytest.raises(IndexError):
             entanglement_entropy(state, [0, 1])
 
+    def test_duplicate_partition_rejected(self):
+        # [0, 0] must not be read as [0]
+        with pytest.raises(IndexError, match="duplicate"):
+            entanglement_entropy(two_mode_squeezed_vacuum(1.0), [0, 0])
+        with pytest.raises(IndexError, match="duplicate"):
+            entanglement_entropy(tensor(vacuum(2), vacuum(1)), [1, 1])
+
     def test_coupled_oscillator_example(self):
         lam = 0.75
         ham = QuadraticHamiltonian(n_modes=2, f_bar=coupled_oscillator_f(lam))

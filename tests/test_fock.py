@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from gaussphase import (
     DimensionError,
+    SelfCheckError,
     TruncationError,
     centered_grid,
     eval_fock,
@@ -112,6 +115,24 @@ class TestDisplacement:
         prod = fock.displacement_matrix(eta, dim) @ fock.displacement_matrix(-eta, dim)
         low = dim // 2
         assert np.max(np.abs(prod[:low, :low] - np.eye(dim)[:low, :low])) < 1e-9
+
+    @pytest.mark.parametrize("dim", [12, 16, 20])
+    def test_self_check_accepts_exact_closed_form_at_small_dim(self, dim):
+        # here the exponential of the generator truncated at dim deviates
+        # from the exact closed form by 1.3e-5, 1.4e-7 and 1.1e-9
+        eta = 0.9 + 0.3j
+        d = fock.displacement_matrix(eta, dim)
+        expected = [
+            np.exp(-abs(eta) ** 2 / 2) * eta**n / math.sqrt(math.factorial(n))
+            for n in range(dim)
+        ]
+        assert np.max(np.abs(d[:, 0] - expected)) < 1e-14
+
+    def test_self_check_rejects_inaccurate_closed_form(self):
+        # the alternating closed-form sum cancels catastrophically here
+        # (elements off by 0.23 against an 80-digit evaluation)
+        with pytest.raises(SelfCheckError):
+            fock.displacement_matrix(4.0, 80)
 
     def test_diagonal_elements_laguerre_pattern(self):
         # oracle: direct series summation of the closed-form sum at n = m,
