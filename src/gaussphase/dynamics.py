@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DimensionError
-from .states import SYMMETRY_TOL, GaussianState
+from .states import SYMMETRY_TOL, GaussianState, _trusted_state
 from .symplectic import (
     DEFAULT_SYMPLECTIC_TOL,
     Ordering,
@@ -196,7 +196,11 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
-    """Applies (S, d): mean -> S mean + d, cov -> S cov S^T."""
+    """Applies (S, d): mean -> S mean + d, cov -> S cov S^T.
+
+    A symplectic congruence of a valid state is a valid state, so the
+    result is not re-validated; its covariance is symmetrized exactly.
+    """
     if channel.ordering is not state.ordering:
         raise DimensionError(
             f"channel ordering {channel.ordering} does not match state {state.ordering}"
@@ -206,12 +210,9 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
             f"channel acts on {channel.n_modes} modes, state has {state.n_modes}"
         )
     s = channel.s
-    return GaussianState(
-        n_modes=state.n_modes,
-        mean=s @ state.mean + channel.d,
-        cov=s @ state.cov @ s.T,
-        ordering=state.ordering,
-    )
+    cov = s @ state.cov @ s.T
+    mean = s @ state.mean + channel.d
+    return _trusted_state(state.n_modes, mean, 0.5 * (cov + cov.T), state.ordering)
 
 
 HamiltonianLike = Union[QuadraticHamiltonian, Callable[[float], QuadraticHamiltonian]]

@@ -35,8 +35,10 @@ class TruncationError(GaussPhaseError, ValueError):
 
 
 class DiagonalizationError(GaussPhaseError, RuntimeError):
-    """Raised when the symplectic diagonalization fails to produce a real
-    orthogonal intermediate matrix within tolerance."""
+    """Raised when a symplectic diagonalization fails.  The Hermitian route
+    in :mod:`gaussphase.williamson` builds its real orthogonal factor
+    directly and reports input it cannot pair up as ``ValueError``, so it
+    no longer raises this; the class stays for callers that catch it."""
 
 
 class SelfCheckError(GaussPhaseError, RuntimeError):

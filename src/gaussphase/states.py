@@ -75,6 +75,25 @@ class GaussianState:
         return symplectic_spectrum(self.cov, form)
 
 
+def _trusted_state(
+    n_modes: int, mean: np.ndarray, cov: np.ndarray, ordering: Ordering = Ordering.PAIRWISE
+) -> GaussianState:
+    """Builds a state from moments derived from already-validated states.
+
+    Skips the constructor's checks: the caller guarantees a float mean and
+    an exactly symmetric covariance that no other object references.  The
+    arrays are frozen as the constructor would freeze them.
+    """
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "n_modes", n_modes)
+    object.__setattr__(state, "mean", mean)
+    object.__setattr__(state, "cov", cov)
+    object.__setattr__(state, "ordering", ordering)
+    return state
+
+
 @dataclass(frozen=True)
 class PurityReport:
     purity: float
@@ -108,7 +127,7 @@ def vacuum(n_modes: int) -> GaussianState:
     """Vacuum state: zero mean, identity covariance."""
     if n_modes < 1:
         raise DimensionError(f"n_modes must be >= 1, got {n_modes}")
-    return GaussianState(n_modes=n_modes, mean=np.zeros(2 * n_modes), cov=np.eye(2 * n_modes))
+    return _trusted_state(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def thermal(nu: float) -> GaussianState:
@@ -150,17 +169,16 @@ def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
          [-sin(theta) sinh 2r,           cosh 2r + cos(theta) sinh 2r]]
 
     which has unit determinant for every (r, theta): squeezing preserves
-    the phase-space area.
+    the phase-space area.  It is built as the rotation
+    R(theta/2) diag(e^-2r, e^2r) R(theta/2)^T, whose entries do not cancel
+    the way cosh 2r - sinh 2r does at large r.
     """
     if not np.isfinite(r):
         raise ValueError("squeezing parameter must be finite")
-    c2, s2 = np.cosh(2 * r), np.sinh(2 * r)
-    cov = np.array(
-        [
-            [c2 - np.cos(theta) * s2, -np.sin(theta) * s2],
-            [-np.sin(theta) * s2, c2 + np.cos(theta) * s2],
-        ]
-    )
+    small, large = np.exp(-2 * r), np.exp(2 * r)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    off = (small - large) * c * s
+    cov = np.array([[small * c * c + large * s * s, off], [off, small * s * s + large * c * c]])
     return GaussianState(n_modes=1, mean=np.zeros(2), cov=cov)
 
 
@@ -199,7 +217,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov = np.zeros((2 * n, 2 * n))
     cov[: a.dim, : a.dim] = a.cov
     cov[a.dim :, a.dim :] = b.cov
-    return GaussianState(n_modes=n, mean=mean, cov=cov)
+    return _trusted_state(n, mean, cov)
 
 
 def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
@@ -221,30 +239,36 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
         idx = np.concatenate([[2 * k, 2 * k + 1] for k in keep])
     else:
         idx = np.concatenate([[k for k in keep], [n + k for k in keep]])
-    return GaussianState(
-        n_modes=len(keep),
-        mean=state.mean[idx],
-        cov=state.cov[np.ix_(idx, idx)],
-        ordering=state.ordering,
-    )
+    return _trusted_state(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)], state.ordering)
 
 
 def as_ordering(state: GaussianState, target: Ordering) -> GaussianState:
     """Returns the same state expressed in another quadrature ordering."""
     if state.ordering is target:
         return state
-    return GaussianState(
-        n_modes=state.n_modes,
-        mean=reorder(state.mean, state.ordering, target, state.n_modes),
-        cov=reorder(state.cov, state.ordering, target, state.n_modes),
-        ordering=target,
+    return _trusted_state(
+        state.n_modes,
+        reorder(state.mean, state.ordering, target, state.n_modes),
+        reorder(state.cov, state.ordering, target, state.n_modes),
+        target,
     )
 
 
 def purity(state: GaussianState, tol: float = PURITY_TOL) -> PurityReport:
-    """Purity 1 / prod(nu_i) from the symplectic spectrum."""
-    nu = state.symplectic_spectrum()
-    p = float(1.0 / np.prod(nu))
+    """Purity 1 / prod(nu_i) = 1 / sqrt(det sigma).
+
+    The determinant comes from a Cholesky factor sigma = L L^T as
+    exp(-sum log diag L), which neither overflows nor underflows.
+
+    Raises:
+        UnphysicalStateError: if the covariance is not positive definite
+            (the Cholesky factorization fails).
+    """
+    try:
+        chol = np.linalg.cholesky(state.cov)
+    except np.linalg.LinAlgError:
+        raise UnphysicalStateError("covariance matrix is not positive definite") from None
+    p = float(np.exp(-np.sum(np.log(np.diagonal(chol)))))
     return PurityReport(purity=p, is_pure=abs(p - 1.0) <= tol)
 
 

@@ -57,9 +57,10 @@ def make_symplectic_form(n_modes: int, ordering: Ordering = Ordering.PAIRWISE) -
     n = n_modes
     omega = np.zeros((2 * n, 2 * n))
     if ordering is Ordering.PAIRWISE:
-        for k in range(n):
-            omega[2 * k, 2 * k + 1] = -1.0
-            omega[2 * k + 1, 2 * k] = 1.0
+        # entries (2k, 2k+1) and (2k+1, 2k) lie 4n + 2 apart in the flat array
+        flat = omega.reshape(-1)
+        flat[1 :: 4 * n + 2] = -1.0
+        flat[2 * n :: 4 * n + 2] = 1.0
     else:
         omega[:n, n:] = -np.eye(n)
         omega[n:, :n] = np.eye(n)

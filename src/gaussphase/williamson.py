@@ -5,12 +5,24 @@ brought to the normal form
 
     Sigma F Sigma^T = diag(nu_1, nu_1, ..., nu_n, nu_n)
 
-by a symplectic matrix Sigma.  The nu_i (the symplectic spectrum) are the
-moduli of the purely imaginary eigenvalues of F Omega^-1.  The diagonalizer
-is assembled as Sigma = Fdiag^(1/2) K U^dagger F^(-1/2), where U unitarily
-diagonalizes the antisymmetric matrix Y = F^(-1/2) Omega F^(-1/2) and K is
-a fixed block unitary mixing each conjugate eigenvector pair into a real
-basis.
+by a symplectic matrix Sigma.  Both the spectrum and Sigma come from two
+factorizations.  One symmetric eigendecomposition of F validates it
+(positive definite, conditioning) and gives the symmetric root F^(-1/2).
+One Hermitian eigendecomposition of iY, with the real antisymmetric core
+Y = F^(-1/2) Omega F^(-1/2), gives the rest: its 2n eigenvalues are
+-1/nu_k and +1/nu_k.  The eigenvectors v_k of the negative half are
+orthonormal and orthogonal to their conjugates (the positive half), so the
+rows sqrt(2) Im v_k, sqrt(2) Re v_k form a real orthogonal matrix O, and
+
+    Sigma = Fdiag^(1/2) O F^(-1/2).
+
+Within a degenerate group of symplectic eigenvalues Sigma is not unique;
+the eigensolver's orthonormal basis of the group is kept.
+
+The symmetric root is used rather than a Cholesky factor L (spectrum from
+i L^T Omega L) or the real Schur form of Y: on banded covariances such as
+a harmonic chain's, both measured slower than eigh(iY) with the symmetric
+root (see ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, DiagonalizationError, DimensionError, NoGroundStateError
+from .errors import ConditioningWarning, DimensionError, NoGroundStateError
 from .symplectic import (
     DEFAULT_SYMPLECTIC_TOL,
     Ordering,
@@ -30,26 +42,57 @@ from .symplectic import (
 )
 
 DEFAULT_WILLIAMSON_TOL = 1e-8
-DEFAULT_REALNESS_TOL = 1e-8
 _COND_FLOOR = 1e-12
 
 
-def _validate_spd(f: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _core(
+    f: np.ndarray, form: SymplecticForm | None
+) -> tuple[np.ndarray, SymplecticForm, np.ndarray, np.ndarray]:
+    """Validates F once and returns (F, form, F^(-1/2), Y).
+
+    The eigenvalues of the one eigh(F) are the positive-definiteness and
+    conditioning check; its eigenvectors give the symmetric F^(-1/2).
+
+    Raises:
+        DimensionError: if ``f`` is not square of even dimension, or does
+            not match ``form``.
+        ValueError: if ``f`` is not symmetric positive definite.
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2 != 0:
-        raise DimensionError(f"{name} must be square with even dimension, got shape {f.shape}")
+        raise DimensionError(f"f must be square with even dimension, got shape {f.shape}")
     if np.max(np.abs(f - f.T)) > 1e-10 * max(1.0, np.max(np.abs(f))):
-        raise ValueError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(f)
-    if eigs[0] <= 0:
-        raise ValueError(f"{name} must be positive definite (min eigenvalue {eigs[0]:.3e})")
-    if eigs[0] <= _COND_FLOOR * eigs[-1]:
+        raise ValueError("f must be symmetric")
+    f = 0.5 * (f + f.T)
+    n = f.shape[0] // 2
+    if form is None:
+        form = make_symplectic_form(n, Ordering.PAIRWISE)
+    if form.n_modes != n:
+        raise DimensionError(f"form has {form.n_modes} modes, matrix has {n}")
+    vals, vecs = np.linalg.eigh(f)
+    if vals[0] <= 0:
+        raise ValueError(f"f must be positive definite (min eigenvalue {vals[0]:.3e})")
+    if vals[0] <= _COND_FLOOR * vals[-1]:
         warnings.warn(
-            f"{name} is nearly singular (eigenvalue ratio {eigs[0] / eigs[-1]:.3e})",
+            f"f is nearly singular (eigenvalue ratio {vals[0] / vals[-1]:.3e})",
             ConditioningWarning,
             stacklevel=3,
         )
-    return 0.5 * (f + f.T)
+    f_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    y = f_inv_sqrt @ form.omega @ f_inv_sqrt
+    return f, form, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
+
+
+def _nu_from_iy(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Symplectic spectrum from the ascending eigenvalues of iY, which come
+    in pairs -1/nu_k, +1/nu_k; the lower half gives nu ascending."""
+    n = lam.size // 2
+    low, high = lam[:n], lam[n:][::-1]
+    if low[-1] >= 0 or np.max(np.abs(low + high)) > tol * np.max(np.abs(lam)):
+        raise ValueError(
+            "eigenvalues of iY do not pair up as -1/nu, +1/nu; numerically degenerate input"
+        )
+    return -1.0 / low
 
 
 def symplectic_spectrum(
@@ -59,32 +102,17 @@ def symplectic_spectrum(
 ) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive definite matrix.
 
-    The eigenvalues of F Omega^-1 come in conjugate pairs +/- i*nu_i; the
-    returned spectrum is the n moduli sorted ascending.
+    The eigenvalues of F Omega^-1 are +/- i*nu_i; they are read off the
+    Hermitian matrix iY, whose eigenvalues are +/- 1/nu_i.  The returned
+    spectrum is the n values nu_i sorted ascending.
 
     Raises:
         ValueError: if ``f`` is not symmetric positive definite, or if the
-            eigenvalues of F Omega^-1 have real parts beyond tol * ||f||
+            eigenvalues of iY fail to pair up within tol * max|1/nu|
             (numerical degeneracy).
     """
-    f = _validate_spd(f, "f")
-    n = f.shape[0] // 2
-    if form is None:
-        form = make_symplectic_form(n, Ordering.PAIRWISE)
-    if form.n_modes != n:
-        raise DimensionError(f"form has {form.n_modes} modes, matrix has {n}")
-    vals = np.linalg.eigvals(f @ form.omega_inv)
-    scale = np.max(np.abs(f))
-    if np.max(np.abs(vals.real)) > tol * scale:
-        raise ValueError(
-            "eigenvalues of F Omega^-1 are not purely imaginary "
-            f"(max |Re| = {np.max(np.abs(vals.real)):.3e}); numerically degenerate input"
-        )
-    moduli = np.sort(np.abs(vals.imag))
-    nu = moduli[0::2]
-    if np.max(np.abs(moduli[0::2] - moduli[1::2])) > tol * max(scale, 1.0):
-        raise ValueError("eigenvalues of F Omega^-1 do not pair up; numerically degenerate input")
-    return nu
+    _, _, _, y = _core(f, form)
+    return _nu_from_iy(np.linalg.eigvalsh(1j * y), tol)
 
 
 @dataclass(frozen=True)
@@ -106,99 +134,43 @@ class WilliamsonDecomposition:
     residual_symplectic: float
 
 
-def _inverse_sqrt(f: np.ndarray) -> np.ndarray:
-    """F^(-1/2) of an SPD matrix via symmetric eigendecomposition."""
-    vals, vecs = np.linalg.eigh(f)
-    if vals[0] <= _COND_FLOOR * vals[-1]:
-        warnings.warn(
-            f"inverse square root of nearly singular matrix (ratio {vals[0] / vals[-1]:.3e})",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def _phase_fix(v: np.ndarray) -> np.ndarray:
-    """Rotates an eigenvector by a unit phase so that its largest-magnitude
-    component is real positive, making the sign convention deterministic."""
-    j = int(np.argmax(np.abs(v)))
-    phase = v[j] / abs(v[j])
-    return v / phase
+    """Rotates each eigenvector (column) by a unit phase so that its
+    largest-magnitude component is real positive, making the sign
+    convention deterministic."""
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v / (peak / np.abs(peak))
 
 
 def williamson_decompose(
     f: np.ndarray,
     form: SymplecticForm | None = None,
     tol: float = DEFAULT_WILLIAMSON_TOL,
-    realness_tol: float = DEFAULT_REALNESS_TOL,
 ) -> WilliamsonDecomposition:
     """Symplectically diagonalizes a symmetric positive definite matrix.
 
-    Implements the constructive algorithm: compute the symplectic spectrum,
-    form Y = F^(-1/2) Omega F^(-1/2), diagonalize the Hermitian matrix iY,
-    pair each eigenvector with its complex conjugate, and assemble the real
-    orthogonal matrix O = K U^dagger, giving Sigma = Fdiag^(1/2) O F^(-1/2).
-
-    Within a degenerate group of symplectic eigenvalues Sigma is not unique;
-    the eigensolver output order is kept after a QR re-orthonormalization.
+    Implements the constructive algorithm: form Y = F^(-1/2) Omega F^(-1/2),
+    diagonalize the Hermitian matrix iY once for both the spectrum and the
+    eigenvectors v_k of its negative eigenvalues -1/nu_k, and assemble
+    Sigma = Fdiag^(1/2) O F^(-1/2) from the real orthogonal O with rows
+    sqrt(2) Im v_k, sqrt(2) Re v_k.
 
     Raises:
-        DiagonalizationError: if O fails to be real within ``realness_tol``.
+        ValueError: if ``f`` is not symmetric positive definite, or its iY
+            spectrum does not pair up (see :func:`symplectic_spectrum`).
     """
-    f = _validate_spd(f, "f")
-    n = f.shape[0] // 2
-    if form is None:
-        form = make_symplectic_form(n, Ordering.PAIRWISE)
-    nu = symplectic_spectrum(f, form, tol)
+    f, form, f_inv_sqrt, y = _core(f, form)
+    n = form.n_modes
+    lam, vecs = np.linalg.eigh(1j * y)
+    nu = _nu_from_iy(lam, tol)
+    v = _phase_fix(vecs[:, :n])
 
-    f_inv_sqrt = _inverse_sqrt(f)
-    y = f_inv_sqrt @ form.omega @ f_inv_sqrt
-    y = 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
-
-    # Hermitian iY has eigenvalues -1/nu_k (ascending for nu ascending) in the
-    # first n slots returned by eigh; the +1/nu_k partners are the conjugates.
-    herm_vals, herm_vecs = np.linalg.eigh(1j * y)
-    neg_vals = herm_vals[:n]
-    vecs = herm_vecs[:, :n].copy()
-    expected = -1.0 / nu
-    if np.max(np.abs(neg_vals - expected)) > max(tol, 1e-9) * max(1.0, np.max(1.0 / nu)):
-        raise DiagonalizationError(
-            "eigenvalues of iY do not match the symplectic spectrum "
-            f"(max deviation {np.max(np.abs(neg_vals - expected)):.3e})"
-        )
-
-    # QR re-orthonormalization inside degenerate nu groups, then a
-    # deterministic phase per eigenvector.
-    groups = _degenerate_groups(nu, tol)
-    for lo, hi in groups:
-        if hi - lo > 1:
-            q_block, _ = np.linalg.qr(vecs[:, lo:hi])
-            vecs[:, lo:hi] = q_block
-    for k in range(n):
-        vecs[:, k] = _phase_fix(vecs[:, k])
-
-    u = np.empty((2 * n, 2 * n), dtype=complex)
-    u[:, 0::2] = vecs
-    u[:, 1::2] = vecs.conj()
-
-    k_mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        k_mat[2 * i, 2 * i] = 1j * inv_sqrt2
-        k_mat[2 * i, 2 * i + 1] = -1j * inv_sqrt2
-        k_mat[2 * i + 1, 2 * i] = inv_sqrt2
-        k_mat[2 * i + 1, 2 * i + 1] = inv_sqrt2
-
-    o = k_mat @ u.conj().T
-    realness = float(np.max(np.abs(o.imag)))
-    if realness > realness_tol:
-        raise DiagonalizationError(
-            f"orthogonal factor has imaginary residue {realness:.3e} > {realness_tol:.1e}"
-        )
-    o = o.real
-
+    scale = np.sqrt(2.0 * nu)[:, None]
+    scaled_o = np.empty((2 * n, 2 * n))
+    scaled_o[0::2] = scale * v.imag.T
+    scaled_o[1::2] = scale * v.real.T
+    sigma = scaled_o @ f_inv_sqrt
     diag_form = np.diag(np.repeat(nu, 2))
-    sigma = np.sqrt(np.repeat(nu, 2))[:, None] * o @ f_inv_sqrt
 
     residual_diag = float(np.max(np.abs(sigma @ f @ sigma.T - diag_form)))
     residual_sympl = check_symplectic(sigma, form, DEFAULT_SYMPLECTIC_TOL).residual
@@ -209,17 +181,6 @@ def williamson_decompose(
         residual_diag=residual_diag,
         residual_symplectic=residual_sympl,
     )
-
-
-def _degenerate_groups(nu: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Half-open index ranges of equal (within tol) symplectic eigenvalues."""
-    groups = []
-    start = 0
-    for k in range(1, len(nu) + 1):
-        if k == len(nu) or abs(nu[k] - nu[start]) > tol * max(1.0, nu[start]):
-            groups.append((start, k))
-            start = k
-    return groups
 
 
 def normal_mode_ground_state(hamiltonian, hbar: float = 1.0):

@@ -5,9 +5,11 @@ import pytest
 
 from gaussphase import (
     GaussianChannel,
+    GaussianState,
     LadderHamiltonian,
     Ordering,
     QuadraticHamiltonian,
+    UnphysicalStateError,
     apply_channel,
     check_symplectic,
     evolve_ode,
@@ -157,6 +159,32 @@ class TestApplyChannel:
             state = apply_channel(ch, two_mode_squeezed_vacuum(0.9, 0.3))
             assert physicality_check(state).ok
             assert abs(purity(state).purity - 1.0) < 1e-8
+
+    def test_output_symmetric_and_read_only(self):
+        rng = np.random.default_rng(3)
+        f = rng.uniform(-1, 1, size=(6, 6))
+        ch = generate_channel(QuadraticHamiltonian(n_modes=3, f_bar=0.5 * (f + f.T)), 1.0)
+        out = apply_channel(ch, vacuum(3))
+        assert np.array_equal(out.cov, out.cov.T)
+        for array in (out.mean, out.cov):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_purity_rejects_non_positive_definite_output(self):
+        # every q variance is 1e-300: positive definite as built, but a
+        # passive channel mixes the q quadratures with each other and with
+        # p, the 1e-300 is lost to rounding, and the output covariance is
+        # indefinite in floats
+        n = 8
+        state = GaussianState(
+            n_modes=n, mean=np.zeros(2 * n), cov=np.diag(np.tile([1e-300, 1.0], n))
+        )
+        hopping = np.eye(n, k=1) + np.eye(n, k=-1)
+        ham = QuadraticHamiltonian(n_modes=n, f_bar=np.kron(hopping, np.eye(2)))
+        out = apply_channel(generate_channel(ham, 0.7), state)
+        with pytest.raises(UnphysicalStateError):
+            purity(out)
 
 
 class TestSymplecticInvariants:

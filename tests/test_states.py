@@ -19,7 +19,9 @@ from gaussphase import (
     thermal,
     two_mode_squeezed_vacuum,
     vacuum,
+    von_neumann_entropy,
 )
+from gaussphase.states import PURITY_TOL
 
 
 def test_vacuum_single_mode():
@@ -256,3 +258,31 @@ def test_wigner_params_thermal():
 def test_wigner_params_squeezed_normalization():
     params = gaussian_wigner_params(squeezed_vacuum(1.3, 0.4))
     assert params.normalization == pytest.approx(1.0 / np.pi)
+
+
+def test_squeezed_vacuum_large_r_constructs():
+    r = 10.0
+    cov = squeezed_vacuum(r, 0.0).cov
+    assert np.array_equal(cov, np.diag([np.exp(-2 * r), np.exp(2 * r)]))
+
+
+@pytest.mark.filterwarnings("ignore::gaussphase.ConditioningWarning")
+def test_squeezed_vacuum_large_r_is_pure():
+    state = squeezed_vacuum(8.0, 0.0)
+    assert abs(purity(state).purity - 1.0) <= PURITY_TOL
+    assert von_neumann_entropy(state).total == pytest.approx(0.0, abs=1e-12)
+
+
+def test_non_positive_definite_covariance_rejected():
+    with pytest.raises(UnphysicalStateError):
+        GaussianState(n_modes=1, mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_partial_trace_output_symmetric_and_read_only():
+    state = tensor(two_mode_squeezed_vacuum(0.7, 0.4), thermal(1.5))
+    reduced = partial_trace(state, [2, 0])
+    assert np.array_equal(reduced.cov, reduced.cov.T)
+    for array in (reduced.mean, reduced.cov):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gaussphase import (
+    GaussianState,
     NoGroundStateError,
     QuadraticHamiltonian,
+    apply_channel,
     check_symplectic,
     generate_channel,
     make_symplectic_form,
@@ -172,3 +174,57 @@ class TestNormalModeGroundState:
 def test_int_input_accepted():
     dec = williamson_decompose(np.diag([3, 3, 5, 5]).astype(float))
     assert np.allclose(dec.nu, [3.0, 5.0])
+
+
+def harmonic_chain_f(rng, n):
+    """Pairwise F of a harmonic chain with random on-site frequencies and
+    nearest-neighbour springs, positive definite by construction."""
+    k = np.diag(rng.uniform(0.8, 1.2, n) ** 2)
+    for i, spring in enumerate(rng.uniform(0.2, 1.0, n - 1)):
+        k[i : i + 2, i : i + 2] += spring * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    f = np.zeros((2 * n, 2 * n))
+    f[0::2, 0::2] = k
+    f[1::2, 1::2] = np.eye(n)
+    return f
+
+
+def reference_spectrum(f):
+    """Symplectic spectrum from the non-symmetric eigenvalues +/- i nu of
+    F Omega^-1, paired by sorting their moduli."""
+    form = make_symplectic_form(f.shape[0] // 2)
+    moduli = np.sort(np.abs(np.linalg.eigvals(f @ form.omega_inv).imag))
+    return moduli[0::2]
+
+
+class TestHermitianRoute:
+    def test_chain_channel_on_thermal_product(self):
+        rng = np.random.default_rng(64)
+        n = 64
+        nu_thermal = rng.uniform(1.5, 4.0, n)
+        thermal_product = GaussianState(
+            n_modes=n, mean=np.zeros(2 * n), cov=np.diag(np.repeat(nu_thermal, 2))
+        )
+        ham = QuadraticHamiltonian(n_modes=n, f_bar=harmonic_chain_f(rng, n))
+        f = apply_channel(generate_channel(ham, 1.3), thermal_product).cov
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(f))))
+        expected = np.sort(nu_thermal)
+        spectrum = symplectic_spectrum(f)
+        dec = williamson_decompose(f)
+        assert np.max(np.abs(spectrum - expected)) < tol
+        assert np.max(np.abs(dec.nu - expected)) < tol
+        assert np.max(np.abs(spectrum - reference_spectrum(f))) < tol
+        assert np.max(np.abs(dec.nu - reference_spectrum(f))) < tol
+        assert dec.residual_diag < 1e-8
+        assert dec.residual_symplectic < 1e-9
+
+    def test_degenerate_non_diagonal(self):
+        rng = np.random.default_rng(25)
+        gen = rng.uniform(-0.5, 0.5, size=(6, 6))
+        s = generate_channel(QuadraticHamiltonian(n_modes=3, f_bar=0.5 * (gen + gen.T)), 1.0).s
+        f = s @ (2.5 * np.eye(6)) @ s.T
+        f = 0.5 * (f + f.T)
+        assert np.max(np.abs(f - np.diag(np.diag(f)))) > 0.1
+        dec = williamson_decompose(f)
+        assert np.allclose(dec.nu, 2.5, atol=1e-10)
+        assert dec.residual_diag < 1e-8
+        assert dec.residual_symplectic < 1e-9
