@@ -33,8 +33,8 @@ from .errors import (
     GaussPhaseError,
     GridAdequacyWarning,
     NoGroundStateError,
+    NotPositiveDefiniteError,
     NotPureError,
-    OrderingError,
     QuadratureError,
     SelfCheckError,
     TruncationError,
@@ -44,7 +44,6 @@ from .states import (
     GaussianState,
     PhysicalityReport,
     PurityReport,
-    as_ordering,
     coherent,
     gaussian_wigner_params,
     partial_trace,

@@ -11,8 +11,10 @@ entanglement entropy of a mixed state).
 
 Conventions: dimensionless quadratures with vacuum covariance = identity
 (hbar = kB = 1); ``coupled-example`` additionally accepts explicit m and
-omega for its dimensionful Hamiltonian.  State files default to the
-pairwise ("qpqp") quadrature ordering and carry the tag explicitly.
+omega for its dimensionful Hamiltonian.  State and Hamiltonian files are
+read with either ordering tag, ``"qpqp"`` (the default) or ``"qqpp"``, and
+converted to the pairwise order used in memory; states are written as
+``"qpqp"``.
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics, entropy, states, wigner, williamson
-from .errors import (
-    DimensionError,
-    NoGroundStateError,
-    NotPureError,
-    OrderingError,
-    UnphysicalStateError,
-)
-from .symplectic import Ordering, check_symplectic, make_symplectic_form
+from .errors import DimensionError, NoGroundStateError, NotPureError, UnphysicalStateError
+from .symplectic import Ordering, check_symplectic, reorder
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,10 +50,19 @@ def _parse_complex(text: str) -> complex:
         raise FileFormatError(f"cannot parse complex number from {text!r}") from exc
 
 
+def _to_pairwise(tag: str, n_modes: int, *arrays: np.ndarray | None) -> list:
+    """Brings arrays read from a file tagged ``tag`` into pairwise order
+    (None passes through); an unknown tag raises KeyError."""
+    source = _ORDERING_TAGS[tag]
+    if source is Ordering.PAIRWISE:
+        return list(arrays)
+    return [None if a is None else reorder(a, source, Ordering.PAIRWISE, n_modes) for a in arrays]
+
+
 def state_to_dict(state: states.GaussianState, metadata: dict | None = None) -> dict:
     return {
         "n_modes": state.n_modes,
-        "ordering": state.ordering.value,
+        "ordering": Ordering.PAIRWISE.value,
         "mean": (state.mean + 0.0).tolist(),
         "cov": (state.cov + 0.0).tolist(),
         "metadata": metadata or {},
@@ -67,12 +72,12 @@ def state_to_dict(state: states.GaussianState, metadata: dict | None = None) -> 
 def state_from_dict(data: dict) -> states.GaussianState:
     try:
         n_modes = int(data["n_modes"])
-        ordering = _ORDERING_TAGS[data.get("ordering", "qpqp")]
         mean = np.asarray(data["mean"], dtype=float)
         cov = np.asarray(data["cov"], dtype=float)
+        mean, cov = _to_pairwise(data.get("ordering", "qpqp"), n_modes, mean, cov)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"invalid state file: {exc}") from exc
-    return states.GaussianState(n_modes=n_modes, mean=mean, cov=cov, ordering=ordering)
+    return states.GaussianState(n_modes=n_modes, mean=mean, cov=cov)
 
 
 def load_state(path: str) -> states.GaussianState:
@@ -137,13 +142,11 @@ def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
             data = json.load(fh)
         f_bar = np.asarray(data["f_bar"], dtype=float)
         alpha = np.asarray(data["alpha"], dtype=float) if "alpha" in data else None
-        ordering = _ORDERING_TAGS[data.get("ordering", "qpqp")]
         n_modes = int(data.get("n_modes", f_bar.shape[0] // 2))
+        f_bar, alpha = _to_pairwise(data.get("ordering", "qpqp"), n_modes, f_bar, alpha)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"cannot read hamiltonian file {path}: {exc}") from exc
-    return dynamics.QuadraticHamiltonian(
-        n_modes=n_modes, f_bar=f_bar, alpha=alpha, ordering=ordering
-    )
+    return dynamics.QuadraticHamiltonian(n_modes=n_modes, f_bar=f_bar, alpha=alpha)
 
 
 def cmd_evolve(args) -> int:
@@ -164,8 +167,7 @@ def cmd_evolve(args) -> int:
         )
     channel = dynamics.generate_channel(ham, args.time)
     if args.verbose:
-        form = make_symplectic_form(ham.n_modes, ham.ordering)
-        residual = check_symplectic(channel.s, form).residual
+        residual = check_symplectic(channel.s).residual
         print(f"symplectic residual: {residual:.3e}", file=sys.stderr)
     evolved = dynamics.apply_channel(channel, state)
     metadata = {"evolved_by": args.builtin or args.hamiltonian, "time": args.time}
@@ -175,8 +177,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_williamson(args) -> int:
     state = load_state(args.state)
-    form = make_symplectic_form(state.n_modes, state.ordering)
-    dec = williamson.williamson_decompose(state.cov, form)
+    dec = williamson.williamson_decompose(state.cov)
     payload = {
         "nu": dec.nu.tolist(),
         "sigma": dec.sigma.tolist(),
@@ -410,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotPureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (FileFormatError, DimensionError, OrderingError, IndexError) as exc:
+    except (FileFormatError, DimensionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnphysicalStateError, NoGroundStateError, np.linalg.LinAlgError, ValueError) as exc:

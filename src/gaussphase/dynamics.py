@@ -22,10 +22,11 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DimensionError
-from .states import SYMMETRY_TOL, GaussianState, _trusted_state
+from .states import GaussianState, _trusted_state
 from .symplectic import (
     DEFAULT_SYMPLECTIC_TOL,
     Ordering,
+    _symmetrized,
     check_symplectic,
     make_symplectic_form,
     reorder,
@@ -39,17 +40,13 @@ class QuadraticHamiltonian:
     n_modes: int
     f_bar: np.ndarray
     alpha: np.ndarray | None = None
-    ordering: Ordering = Ordering.PAIRWISE
 
     def __post_init__(self):
         dim = 2 * self.n_modes
         f = np.asarray(self.f_bar, dtype=float)
         if f.shape != (dim, dim):
             raise DimensionError(f"f_bar must be {dim}x{dim}, got {f.shape}")
-        asym = np.max(np.abs(f - f.T))
-        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(f))):
-            raise ValueError(f"f_bar asymmetry {asym:.3e} exceeds tolerance")
-        f = 0.5 * (f + f.T)
+        f = _symmetrized(f, "f_bar")
         a = np.zeros(dim) if self.alpha is None else np.asarray(self.alpha, dtype=float)
         if a.shape != (dim,):
             raise DimensionError(f"alpha must have length {dim}, got {a.shape}")
@@ -73,8 +70,7 @@ class LadderHamiltonian:
         g = np.asarray(self.g, dtype=complex)
         if w.shape != (n, n) or g.shape != (n, n):
             raise DimensionError(f"w and g must be {n}x{n}, got {w.shape} and {g.shape}")
-        if np.max(np.abs(w - w.conj().T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(w))):
-            raise ValueError("w must be Hermitian")
+        w = _symmetrized(w, "w")
         w.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -87,7 +83,6 @@ class GaussianChannel:
 
     s: np.ndarray
     d: np.ndarray
-    ordering: Ordering = Ordering.PAIRWISE
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -96,7 +91,7 @@ class GaussianChannel:
             raise DimensionError(f"s must be square with even dimension, got {s.shape}")
         if d.shape != (s.shape[0],):
             raise DimensionError(f"d must have length {s.shape[0]}, got {d.shape}")
-        ok, residual = check_symplectic(s, ordering=self.ordering, tol=DEFAULT_SYMPLECTIC_TOL)
+        ok, residual = check_symplectic(s, tol=DEFAULT_SYMPLECTIC_TOL)
         if not ok:
             raise ValueError(f"s is not symplectic (residual {residual:.3e})")
         s.setflags(write=False)
@@ -117,8 +112,8 @@ def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
     symmetric quadrature form; the result is reordered to pairwise.
 
     Raises:
-        ValueError: if the assembled matrix has an imaginary residue beyond
-            tolerance, which signals a non-Hermitian input.
+        ValueError: if the assembled matrix is not Hermitian within
+            tolerance.
     """
     w, g = h.w, h.g
     gdag = g.conj().T
@@ -131,12 +126,10 @@ def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
     f[:n, n:] = x_blk
     f[n:, :n] = x_blk.conj().T
     f[n:, n:] = b_blk
-    f_bar = 0.5 * (f + f.T)
-    residue = np.max(np.abs(f_bar.imag))
-    if residue > SYMMETRY_TOL * max(1.0, np.max(np.abs(f_bar))):
-        raise ValueError(f"assembled quadrature form has imaginary residue {residue:.3e}")
-    f_bar = reorder(f_bar.real, Ordering.BLOCKWISE, Ordering.PAIRWISE, n)
-    return QuadraticHamiltonian(n_modes=n, f_bar=f_bar, ordering=Ordering.PAIRWISE)
+    f_bar = _symmetrized(f, "assembled quadrature form").real
+    return QuadraticHamiltonian(
+        n_modes=n, f_bar=reorder(f_bar, Ordering.BLOCKWISE, Ordering.PAIRWISE, n)
+    )
 
 
 def squeeze_hamiltonian(r: float, theta: float = 0.0) -> QuadraticHamiltonian:
@@ -177,7 +170,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     # package's start-up time, and only this function needs it.
     from scipy.linalg import expm
 
-    form = make_symplectic_form(h.n_modes, h.ordering)
+    form = make_symplectic_form(h.n_modes)
     dim = 2 * h.n_modes
     m = form.omega_inv @ h.f_bar
     if np.any(h.alpha):
@@ -192,7 +185,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
         d = np.zeros(dim)
     if not np.all(np.isfinite(s)) or not np.all(np.isfinite(d)):
         raise ValueError("channel has non-finite entries (t too large for this Hamiltonian?)")
-    return GaussianChannel(s=s, d=d, ordering=h.ordering)
+    return GaussianChannel(s=s, d=d)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -201,10 +194,6 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     A symplectic congruence of a valid state is a valid state, so the
     result is not re-validated; its covariance is symmetrized exactly.
     """
-    if channel.ordering is not state.ordering:
-        raise DimensionError(
-            f"channel ordering {channel.ordering} does not match state {state.ordering}"
-        )
     if channel.n_modes != state.n_modes:
         raise DimensionError(
             f"channel acts on {channel.n_modes} modes, state has {state.n_modes}"
@@ -212,7 +201,7 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     s = channel.s
     cov = s @ state.cov @ s.T
     mean = s @ state.mean + channel.d
-    return _trusted_state(state.n_modes, mean, 0.5 * (cov + cov.T), state.ordering)
+    return _trusted_state(state.n_modes, mean, 0.5 * (cov + cov.T))
 
 
 HamiltonianLike = Union[QuadraticHamiltonian, Callable[[float], QuadraticHamiltonian]]
@@ -232,6 +221,10 @@ def evolve_ode(
     Serves as an independent numerical check of :func:`generate_channel`
     (agreement is O(dt^4)) and covers time-dependent Hamiltonians, passed
     as a callable t -> QuadraticHamiltonian.
+
+    Raises:
+        DimensionError: if the Hamiltonian (for a callable, each one it
+            returns) does not act on the state's modes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -240,11 +233,14 @@ def evolve_ode(
     if t == 0:
         return state
     h_of_t = h if callable(h) else (lambda _t: h)
-    form = make_symplectic_form(state.n_modes, state.ordering)
-    omega_inv = form.omega_inv
+    omega_inv = make_symplectic_form(state.n_modes).omega_inv
 
     def rhs(time, mean, cov):
         ht = h_of_t(time)
+        if ht.n_modes != state.n_modes:
+            raise DimensionError(
+                f"hamiltonian acts on {ht.n_modes} modes, state has {state.n_modes}"
+            )
         a = omega_inv @ ht.f_bar
         dmean = a @ mean + omega_inv @ ht.alpha
         dcov = a @ cov + cov @ a.T
@@ -264,4 +260,4 @@ def evolve_ode(
         cov = cov + step / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
         time += step
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(n_modes=state.n_modes, mean=mean, cov=cov, ordering=state.ordering)
+    return GaussianState(n_modes=state.n_modes, mean=mean, cov=cov)

@@ -10,10 +10,6 @@ class DimensionError(GaussPhaseError, ValueError):
     dimension that does not match the number of modes."""
 
 
-class OrderingError(GaussPhaseError, ValueError):
-    """Raised when quadrature orderings of two objects do not agree."""
-
-
 class UnphysicalStateError(GaussPhaseError, ValueError):
     """Raised when a covariance matrix violates the uncertainty relation
     (a symplectic eigenvalue below one, or sigma + i*Omega^-1 not PSD)."""
@@ -22,6 +18,15 @@ class UnphysicalStateError(GaussPhaseError, ValueError):
 class NotPureError(GaussPhaseError, ValueError):
     """Raised when entanglement entropy is requested for a mixed global
     state, for which it is not defined."""
+
+
+class NotPositiveDefiniteError(GaussPhaseError, ValueError):
+    """Raised when a matrix that must be positive definite is not; its
+    smallest eigenvalue is kept as ``min_eigenvalue``."""
+
+    def __init__(self, message: str, min_eigenvalue: float):
+        super().__init__(message)
+        self.min_eigenvalue = float(min_eigenvalue)
 
 
 class NoGroundStateError(GaussPhaseError, ValueError):

@@ -20,21 +20,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, OrderingError, UnphysicalStateError
-from .symplectic import Ordering, make_symplectic_form, reorder
+from .errors import DimensionError, UnphysicalStateError
+from .symplectic import _symmetrized, make_symplectic_form
 from .williamson import symplectic_spectrum
 
-SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-8
 PURITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """A Gaussian state: mode count, quadrature ordering, mean, covariance.
+    """A Gaussian state: mode count, mean and covariance, both in pairwise
+    quadrature order (q1, p1, ..., qn, pn).
 
     The covariance matrix is symmetrized on construction when its asymmetry
-    is below ``SYMMETRY_TOL`` (float noise) and rejected otherwise.  It must
+    is below ``symplectic.SYMMETRY_TOL`` (float noise) and rejected
+    otherwise.  It must
     be positive definite; full physicality (symplectic eigenvalues >= 1) is
     checked separately by :func:`physicality_check` so that diagnostic
     near-physical matrices remain representable.
@@ -43,7 +44,6 @@ class GaussianState:
     n_modes: int
     mean: np.ndarray
     cov: np.ndarray
-    ordering: Ordering = Ordering.PAIRWISE
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -55,10 +55,7 @@ class GaussianState:
             raise DimensionError(f"mean must have length {dim}, got {mean.shape}")
         if cov.shape != (dim, dim):
             raise DimensionError(f"cov must be {dim}x{dim}, got {cov.shape}")
-        asym = np.max(np.abs(cov - cov.T))
-        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(cov))):
-            raise ValueError(f"covariance matrix asymmetry {asym:.3e} exceeds tolerance")
-        cov = 0.5 * (cov + cov.T)
+        cov = _symmetrized(cov, "covariance matrix")
         if np.linalg.eigvalsh(cov)[0] <= 0:
             raise UnphysicalStateError("covariance matrix must be positive definite")
         mean.setflags(write=False)
@@ -71,13 +68,10 @@ class GaussianState:
         return 2 * self.n_modes
 
     def symplectic_spectrum(self) -> np.ndarray:
-        form = make_symplectic_form(self.n_modes, self.ordering)
-        return symplectic_spectrum(self.cov, form)
+        return symplectic_spectrum(self.cov)
 
 
-def _trusted_state(
-    n_modes: int, mean: np.ndarray, cov: np.ndarray, ordering: Ordering = Ordering.PAIRWISE
-) -> GaussianState:
+def _trusted_state(n_modes: int, mean: np.ndarray, cov: np.ndarray) -> GaussianState:
     """Builds a state from moments derived from already-validated states.
 
     Skips the constructor's checks: the caller guarantees a float mean and
@@ -90,7 +84,6 @@ def _trusted_state(
     object.__setattr__(state, "n_modes", n_modes)
     object.__setattr__(state, "mean", mean)
     object.__setattr__(state, "cov", cov)
-    object.__setattr__(state, "ordering", ordering)
     return state
 
 
@@ -183,7 +176,7 @@ def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
 
 
 def two_mode_squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
-    """Two-mode squeezed vacuum in pairwise ordering.
+    """Two-mode squeezed vacuum (pairwise quadrature order).
 
     Diagonal blocks cosh(r) * I2 per mode; the cross-mode block is built
     from -cos(theta) sinh(r) and -sin(theta) sinh(r).  Tracing out either
@@ -206,12 +199,8 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Composite of two uncorrelated states: means concatenate, covariances
-    direct-sum.  The result is returned in pairwise ordering."""
-    if a.ordering is not b.ordering:
-        raise OrderingError(f"ordering mismatch: {a.ordering} vs {b.ordering}")
-    if a.ordering is Ordering.BLOCKWISE:
-        a = as_ordering(a, Ordering.PAIRWISE)
-        b = as_ordering(b, Ordering.PAIRWISE)
+    direct-sum.  Both inputs and the result are pairwise, so the modes of
+    ``b`` follow those of ``a``."""
     n = a.n_modes + b.n_modes
     mean = np.concatenate([a.mean, b.mean])
     cov = np.zeros((2 * n, 2 * n))
@@ -234,24 +223,8 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
         raise IndexError("keep contains duplicate mode indices")
     if any(k < 0 or k >= state.n_modes for k in keep):
         raise IndexError(f"mode indices {keep} out of range for {state.n_modes} modes")
-    n = state.n_modes
-    if state.ordering is Ordering.PAIRWISE:
-        idx = np.concatenate([[2 * k, 2 * k + 1] for k in keep])
-    else:
-        idx = np.concatenate([[k for k in keep], [n + k for k in keep]])
-    return _trusted_state(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)], state.ordering)
-
-
-def as_ordering(state: GaussianState, target: Ordering) -> GaussianState:
-    """Returns the same state expressed in another quadrature ordering."""
-    if state.ordering is target:
-        return state
-    return _trusted_state(
-        state.n_modes,
-        reorder(state.mean, state.ordering, target, state.n_modes),
-        reorder(state.cov, state.ordering, target, state.n_modes),
-        target,
-    )
+    idx = np.concatenate([[2 * k, 2 * k + 1] for k in keep])
+    return _trusted_state(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
 def purity(state: GaussianState, tol: float = PURITY_TOL) -> PurityReport:
@@ -274,7 +247,7 @@ def purity(state: GaussianState, tol: float = PURITY_TOL) -> PurityReport:
 
 def physicality_check(state: GaussianState, tol: float = PHYSICALITY_TOL) -> PhysicalityReport:
     """Checks sigma + i Omega^-1 >= 0 and nu_i >= 1 within tolerance."""
-    form = make_symplectic_form(state.n_modes, state.ordering)
+    form = make_symplectic_form(state.n_modes)
     herm = state.cov + 1j * form.omega_inv
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     nu_min = float(state.symplectic_spectrum()[0])

@@ -1,16 +1,18 @@
-"""Symplectic form, orderings and basic symplectic linear algebra.
+"""Symplectic form, quadrature orderings and basic symplectic linear algebra.
 
-Phase-space vectors are stored in one of two quadrature orderings:
-
-* ``Ordering.PAIRWISE``  -- (q1, p1, q2, p2, ..., qn, pn), the default
-  everywhere in this package,
-* ``Ordering.BLOCKWISE`` -- (q1, ..., qn, p1, ..., pn), used only at
-  conversion boundaries (e.g. assembling Hamiltonians from ladder
-  operators).
+Every phase-space vector and matrix in memory is in the pairwise
+ordering (q1, p1, q2, p2, ..., qn, pn).  The blockwise ordering
+(q1, ..., qn, p1, ..., pn) exists only at boundaries: in state and
+Hamiltonian files tagged ``"qqpp"``, which the CLI converts on load, and
+inside :func:`gaussphase.dynamics.ladder_to_quadrature`.  :func:`reorder`
+converts between the two.
 
 The symplectic matrix Omega is antisymmetric with Omega^2 = -1, and its
-inverse is Omega^-1 = -Omega = Omega^T.  In the pairwise ordering Omega
-is the direct sum of n blocks [[0, -1], [1, 0]].
+inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
+[[0, -1], [1, 0]].
+
+:func:`_symmetrized` is the one symmetry (Hermiticity) check of the
+package, with the one tolerance ``SYMMETRY_TOL``.
 """
 
 from __future__ import annotations
@@ -24,10 +26,26 @@ import numpy as np
 from .errors import DimensionError
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
+SYMMETRY_TOL = 1e-10
+
+
+def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
+    """Returns (m + m^dag)/2 after checking that ``m`` is symmetric, or
+    Hermitian if complex, up to float noise.
+
+    Raises:
+        ValueError: naming the matrix, if max|m - m^dag| exceeds
+            SYMMETRY_TOL * max(1, max|m|).
+    """
+    m_dag = m.conj().T
+    asym = np.max(np.abs(m - m_dag))
+    if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{name} asymmetry {asym:.3e} exceeds tolerance")
+    return 0.5 * (m + m_dag)
 
 
 class Ordering(enum.Enum):
-    """Quadrature ordering of phase-space vectors and matrices."""
+    """Quadrature ordering of phase-space vectors and matrices in files."""
 
     PAIRWISE = "qpqp"
     BLOCKWISE = "qqpp"
@@ -39,34 +57,27 @@ class SymplecticForm:
 
     Attributes:
         n_modes: number of bosonic modes (phase space dimension is 2n).
-        ordering: quadrature ordering the matrices refer to.
         omega: the 2n x 2n symplectic matrix.
         omega_inv: its inverse, equal to -omega and to omega.T.
     """
 
     n_modes: int
-    ordering: Ordering
     omega: np.ndarray
     omega_inv: np.ndarray
 
 
-def make_symplectic_form(n_modes: int, ordering: Ordering = Ordering.PAIRWISE) -> SymplecticForm:
-    """Builds Omega and Omega^-1 for the requested mode count and ordering."""
+def make_symplectic_form(n_modes: int) -> SymplecticForm:
+    """Builds Omega and Omega^-1 for the requested mode count."""
     if n_modes < 1:
         raise DimensionError(f"n_modes must be >= 1, got {n_modes}")
     n = n_modes
     omega = np.zeros((2 * n, 2 * n))
-    if ordering is Ordering.PAIRWISE:
-        # entries (2k, 2k+1) and (2k+1, 2k) lie 4n + 2 apart in the flat array
-        flat = omega.reshape(-1)
-        flat[1 :: 4 * n + 2] = -1.0
-        flat[2 * n :: 4 * n + 2] = 1.0
-    else:
-        omega[:n, n:] = -np.eye(n)
-        omega[n:, :n] = np.eye(n)
+    # entries (2k, 2k+1) and (2k+1, 2k) lie 4n + 2 apart in the flat array
+    flat = omega.reshape(-1)
+    flat[1 :: 4 * n + 2] = -1.0
+    flat[2 * n :: 4 * n + 2] = 1.0
     omega.setflags(write=False)
-    omega_inv = omega.T
-    return SymplecticForm(n_modes=n, ordering=ordering, omega=omega, omega_inv=omega_inv)
+    return SymplecticForm(n_modes=n, omega=omega, omega_inv=omega.T)
 
 
 class SymplecticCheck(NamedTuple):
@@ -78,7 +89,6 @@ def check_symplectic(
     m: np.ndarray,
     form: SymplecticForm | None = None,
     tol: float = DEFAULT_SYMPLECTIC_TOL,
-    ordering: Ordering = Ordering.PAIRWISE,
 ) -> SymplecticCheck:
     """Tests whether a matrix preserves the symplectic form.
 
@@ -89,9 +99,8 @@ def check_symplectic(
     Args:
         m: real square matrix of even dimension 2n.
         form: symplectic form to test against; built on the fly from the
-            matrix dimension and ``ordering`` when omitted.
+            matrix dimension when omitted.
         tol: acceptance threshold for the residual.
-        ordering: used only when ``form`` is None.
 
     Returns:
         SymplecticCheck(ok, residual).
@@ -100,7 +109,7 @@ def check_symplectic(
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
         raise DimensionError(f"expected square even-dimensional matrix, got shape {m.shape}")
     if form is None:
-        form = make_symplectic_form(m.shape[0] // 2, ordering)
+        form = make_symplectic_form(m.shape[0] // 2)
     if m.shape[0] != 2 * form.n_modes:
         raise DimensionError(
             f"matrix dimension {m.shape[0]} does not match form with {form.n_modes} modes"

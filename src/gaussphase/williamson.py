@@ -32,11 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, DimensionError, NoGroundStateError
+from .errors import (
+    ConditioningWarning,
+    DimensionError,
+    NoGroundStateError,
+    NotPositiveDefiniteError,
+)
 from .symplectic import (
     DEFAULT_SYMPLECTIC_TOL,
-    Ordering,
     SymplecticForm,
+    _symmetrized,
     check_symplectic,
     make_symplectic_form,
 )
@@ -56,22 +61,23 @@ def _core(
     Raises:
         DimensionError: if ``f`` is not square of even dimension, or does
             not match ``form``.
-        ValueError: if ``f`` is not symmetric positive definite.
+        ValueError: if ``f`` is not symmetric.
+        NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2 != 0:
         raise DimensionError(f"f must be square with even dimension, got shape {f.shape}")
-    if np.max(np.abs(f - f.T)) > 1e-10 * max(1.0, np.max(np.abs(f))):
-        raise ValueError("f must be symmetric")
-    f = 0.5 * (f + f.T)
+    f = _symmetrized(f, "f")
     n = f.shape[0] // 2
     if form is None:
-        form = make_symplectic_form(n, Ordering.PAIRWISE)
+        form = make_symplectic_form(n)
     if form.n_modes != n:
         raise DimensionError(f"form has {form.n_modes} modes, matrix has {n}")
     vals, vecs = np.linalg.eigh(f)
     if vals[0] <= 0:
-        raise ValueError(f"f must be positive definite (min eigenvalue {vals[0]:.3e})")
+        raise NotPositiveDefiniteError(
+            f"f must be positive definite (min eigenvalue {vals[0]:.3e})", vals[0]
+        )
     if vals[0] <= _COND_FLOOR * vals[-1]:
         warnings.warn(
             f"f is nearly singular (eigenvalue ratio {vals[0] / vals[-1]:.3e})",
@@ -208,16 +214,13 @@ def normal_mode_ground_state(hamiltonian, hbar: float = 1.0):
     """
     from .states import GaussianState
 
-    f_bar = hamiltonian.f_bar
-    eigs = np.linalg.eigvalsh(f_bar)
-    if eigs[0] <= 0:
+    try:
+        dec = williamson_decompose(hamiltonian.f_bar)
+    except NotPositiveDefiniteError as exc:
         raise NoGroundStateError(
-            f"Hamiltonian matrix is not positive definite (min eigenvalue {eigs[0]:.3e})"
-        )
-    form = make_symplectic_form(hamiltonian.n_modes, hamiltonian.ordering)
-    dec = williamson_decompose(f_bar, form)
+            "Hamiltonian matrix is not positive definite "
+            f"(min eigenvalue {exc.min_eigenvalue:.3e})"
+        ) from None
     cov = hbar * dec.sigma.T @ dec.sigma
     mean = np.zeros(2 * hamiltonian.n_modes)
-    return GaussianState(
-        n_modes=hamiltonian.n_modes, mean=mean, cov=cov, ordering=hamiltonian.ordering
-    )
+    return GaussianState(n_modes=hamiltonian.n_modes, mean=mean, cov=cov)

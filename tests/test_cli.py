@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from gaussphase import thermal, two_mode_squeezed_vacuum, vacuum
+from gaussphase import (
+    Ordering,
+    apply_channel,
+    generate_channel,
+    reorder,
+    squeezed_vacuum,
+    tensor,
+    thermal,
+    two_mode_squeeze_hamiltonian,
+    two_mode_squeezed_vacuum,
+    vacuum,
+)
 from gaussphase.cli import main, state_from_dict, state_to_dict
 
 
@@ -131,6 +142,66 @@ class TestEvolve:
     def test_unreadable_file_exit_code(self, capsys):
         code, _, _ = run(capsys, "evolve", "/nonexistent.json", "--builtin", "rotate", "--time", "1")
         assert code == 2
+
+
+def to_blockwise(data, *keys):
+    """Copy of a pairwise file dict with ``keys`` permuted and tagged "qqpp"."""
+    out = dict(data, ordering="qqpp")
+    for key in keys:
+        out[key] = reorder(np.asarray(data[key]), Ordering.PAIRWISE, Ordering.BLOCKWISE).tolist()
+    return out
+
+
+class TestBlockwiseFiles:
+    """ "qqpp" files are converted to pairwise order on load."""
+
+    @pytest.fixture
+    def twins(self, tmp_path):
+        # a squeezed and a thermal mode, entangled and displaced
+        channel = generate_channel(two_mode_squeeze_hamiltonian(0.9, 0.3), 1.0)
+        state = apply_channel(channel, tensor(squeezed_vacuum(0.6, 0.4), thermal(1.7)))
+        data = dict(state_to_dict(state), mean=[0.1, -0.4, 0.7, 0.2])
+        paths = []
+        for name, content in [("pair.json", data), ("block.json", to_blockwise(data, "mean", "cov"))]:
+            path = tmp_path / name
+            path.write_text(json.dumps(content))
+            paths.append(str(path))
+        return paths
+
+    def test_williamson(self, twins, capsys):
+        results = []
+        for path in twins:
+            code, out, _ = run(capsys, "williamson", path)
+            assert code == 0
+            results.append(json.loads(out))
+        pair, block = results
+        assert block["residuals"]["symplectic"] < 1e-9
+        assert block["nu"] == pair["nu"]
+
+    def test_evolve_builtin_tms_writes_same_bytes(self, twins, tmp_path, capsys):
+        outputs = []
+        for i, path in enumerate(twins):
+            out_path = tmp_path / f"out{i}.json"
+            argv = ["evolve", path, "--builtin", "tms", "--r", "0.7", "--time", "1"]
+            code, _, _ = run(capsys, *argv, "--out", str(out_path))
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["ordering"] == "qpqp"
+
+    def test_hamiltonian_file_evolves_like_pairwise_twin(self, twins, tmp_path, capsys):
+        a = np.arange(16.0).reshape(4, 4) / 10
+        ham = {"f_bar": (a @ a.T + np.eye(4)).tolist(), "alpha": [0.3, -0.1, 0.5, 0.2]}
+        outputs = []
+        for name, content in [("hp.json", ham), ("hb.json", to_blockwise(ham, "f_bar", "alpha"))]:
+            hpath = tmp_path / name
+            hpath.write_text(json.dumps(content))
+            argv = ["evolve", twins[0], "--hamiltonian", str(hpath), "--time", "0.6"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outputs.append(json.loads(out))
+        assert outputs[0]["cov"] == outputs[1]["cov"]
+        assert outputs[0]["mean"] == outputs[1]["mean"]
 
 
 class TestWilliamsonCmd:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussphase import (
+    DimensionError,
     GaussianChannel,
     GaussianState,
     LadderHamiltonian,
@@ -239,6 +240,13 @@ class TestEvolveOde:
         out = evolve_ode(ham, vacuum(1), t=1.0, dt=1e-3)
         expected = squeezed_vacuum(0.5, 0.0)
         assert np.max(np.abs(out.cov - expected.cov)) < 1e-6
+
+    def test_mode_count_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            evolve_ode(squeeze_hamiltonian(0.3), vacuum(2), t=1.0, dt=0.1)
+        # a callable is checked on its first evaluation
+        with pytest.raises(DimensionError):
+            evolve_ode(lambda t: squeeze_hamiltonian(0.3 * t), vacuum(2), t=1.0, dt=0.1)
 
     def test_displacement_via_ode(self):
         alpha = np.array([1.0, 0.5])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,11 +129,36 @@ class TestDisplacement:
         ]
         assert np.max(np.abs(d[:, 0] - expected)) < 1e-14
 
-    def test_self_check_rejects_inaccurate_closed_form(self):
-        # the alternating closed-form sum cancels catastrophically here
-        # (elements off by 0.23 against an 80-digit evaluation)
+    def test_self_check_rejects_inaccurate_closed_form(self, monkeypatch):
+        # a reference that disagrees by 1e-6 stands in for a closed form
+        # that is off by as much
+        exact_expm = fock.expm
+        monkeypatch.setattr(fock, "expm", lambda m: exact_expm(m) + 1e-6)
         with pytest.raises(SelfCheckError):
-            fock.displacement_matrix(4.0, 80)
+            fock.displacement_matrix(0.9 + 0.3j, 20)
+
+    def test_closed_form_exact_at_large_eta_and_dim(self):
+        # oracle: the finite sum over ladder monomials evaluated exactly.
+        # For real integer eta and n >= m, with l = n - m,
+        # <n|D|m> = e^{-eta^2/2} T / sqrt(n! m!),
+        # T = sum_k (-1)^k eta^(2k + l) n!/(k + l)! C(m, k), an integer;
+        # the n < m triangle is (-1)^l <m|D|n>.  The alternating sum in
+        # floating point was off by 0.23 here.
+        eta, dim = 4, 80
+        d = fock.displacement_matrix(float(eta), dim)
+        fact = [math.factorial(k) for k in range(dim)]
+        expected = np.empty((dim, dim))
+        for n in range(dim):
+            for m in range(n + 1):
+                ell = n - m
+                t = sum(
+                    (-1) ** k * eta ** (2 * k + ell) * (fact[n] // fact[k + ell]) * math.comb(m, k)
+                    for k in range(m + 1)
+                )
+                mag = math.sqrt(float(Fraction(t * t, fact[n] * fact[m])))
+                expected[n, m] = math.copysign(mag, t) * math.exp(-(eta**2) / 2)
+                expected[m, n] = (-1) ** ell * expected[n, m]
+        assert np.max(np.abs(d - expected)) < 1e-13
 
     def test_diagonal_elements_laguerre_pattern(self):
         # oracle: direct series summation of the closed-form sum at n = m,

@@ -5,15 +5,14 @@ from gaussphase import (
     DimensionError,
     GaussianState,
     Ordering,
-    OrderingError,
     UnphysicalStateError,
-    as_ordering,
     coherent,
     fock,
     gaussian_wigner_params,
     partial_trace,
     physicality_check,
     purity,
+    reorder,
     squeezed_vacuum,
     tensor,
     thermal,
@@ -21,6 +20,7 @@ from gaussphase import (
     vacuum,
     von_neumann_entropy,
 )
+from gaussphase.cli import state_from_dict
 from gaussphase.states import PURITY_TOL
 
 
@@ -154,13 +154,6 @@ def test_tensor_then_partial_trace_recovers_factors():
     assert np.array_equal(partial_trace(joint, [1]).cov, b.cov)
 
 
-def test_tensor_ordering_mismatch():
-    a = vacuum(1)
-    b = as_ordering(vacuum(1), Ordering.BLOCKWISE)
-    with pytest.raises(OrderingError):
-        tensor(a, b)
-
-
 def test_partial_trace_keep_all_is_identity():
     state = two_mode_squeezed_vacuum(1.0)
     kept = partial_trace(state, [0, 1])
@@ -176,7 +169,16 @@ def test_partial_trace_bad_indices():
 
 
 def test_partial_trace_blockwise():
-    state = as_ordering(two_mode_squeezed_vacuum(0.8), Ordering.BLOCKWISE)
+    # a "qqpp" state file is converted to pairwise order on load
+    tmsv = two_mode_squeezed_vacuum(0.8)
+    data = {
+        "n_modes": 2,
+        "ordering": "qqpp",
+        "mean": reorder(tmsv.mean, Ordering.PAIRWISE, Ordering.BLOCKWISE).tolist(),
+        "cov": reorder(tmsv.cov, Ordering.PAIRWISE, Ordering.BLOCKWISE).tolist(),
+    }
+    state = state_from_dict(data)
+    assert np.array_equal(state.cov, tmsv.cov)
     reduced = partial_trace(state, [1])
     assert np.allclose(reduced.cov, np.cosh(0.8) * np.eye(2), atol=1e-12)
 
