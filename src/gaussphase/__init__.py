@@ -28,7 +28,6 @@ from .entropy import (
 )
 from .errors import (
     ConditioningWarning,
-    DiagonalizationError,
     DimensionError,
     GaussPhaseError,
     GridAdequacyWarning,

@@ -5,9 +5,12 @@ Subcommands: ``state make``, ``evolve``, ``williamson``, ``entropy``,
 grids are CSV with ``# key=value`` preamble lines.  All numeric output is
 locale independent and reproducible byte for byte.
 
-Exit codes: 0 success, 2 usage/parse errors, 3 unphysical states or
-numeric-domain failures, 4 violated semantic preconditions (e.g.
-entanglement entropy of a mixed state).
+Each ``cmd_*`` returns a JSON document, or for ``wigner`` the CSV text and
+optional summary.  Only :func:`main` writes output, prints warnings as
+``warning: <message>`` and maps errors to exit codes: 0 success, 2 usage,
+parse or output-file errors, 3 unphysical states or numeric-domain
+failures, 4 violated semantic preconditions (e.g. entanglement entropy of
+a mixed state).
 
 Conventions: dimensionless quadratures with vacuum covariance = identity
 (hbar = kB = 1); ``coupled-example`` additionally accepts explicit m and
@@ -89,21 +92,11 @@ def load_state(path: str) -> states.GaussianState:
     return state_from_dict(data)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-
-
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def cmd_state_make(args) -> int:
+def cmd_state_make(args) -> dict:
     kind = args.kind
     metadata: dict = {"kind": kind}
     if kind == "vacuum":
@@ -132,8 +125,7 @@ def cmd_state_make(args) -> int:
         metadata.update(r=args.r, theta=args.theta)
     else:  # pragma: no cover - argparse restricts choices
         raise FileFormatError(f"unknown state kind {kind!r}")
-    _emit(_json_dump(state_to_dict(state, metadata)), args.out)
-    return EXIT_OK
+    return state_to_dict(state, metadata)
 
 
 def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
@@ -149,7 +141,7 @@ def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
     return dynamics.QuadraticHamiltonian(n_modes=n_modes, f_bar=f_bar, alpha=alpha)
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> dict:
     state = load_state(args.state)
     if (args.hamiltonian is None) == (args.builtin is None):
         raise FileFormatError("provide exactly one of --hamiltonian or --builtin")
@@ -171,14 +163,13 @@ def cmd_evolve(args) -> int:
         print(f"symplectic residual: {residual:.3e}", file=sys.stderr)
     evolved = dynamics.apply_channel(channel, state)
     metadata = {"evolved_by": args.builtin or args.hamiltonian, "time": args.time}
-    _emit(_json_dump(state_to_dict(evolved, metadata)), args.out)
-    return EXIT_OK
+    return state_to_dict(evolved, metadata)
 
 
-def cmd_williamson(args) -> int:
+def cmd_williamson(args) -> dict:
     state = load_state(args.state)
     dec = williamson.williamson_decompose(state.cov)
-    payload = {
+    return {
         "nu": dec.nu.tolist(),
         "sigma": dec.sigma.tolist(),
         "residuals": {
@@ -186,27 +177,26 @@ def cmd_williamson(args) -> int:
             "symplectic": dec.residual_symplectic,
         },
     }
-    _emit(_json_dump(payload), args.out)
-    return EXIT_OK
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args) -> dict:
     state = load_state(args.state)
-    if args.subsystem:
-        modes = [int(tok) for tok in args.subsystem.split(",")]
+    if args.subsystem is not None:
+        try:
+            modes = [int(tok) for tok in args.subsystem.split(",")]
+        except ValueError as exc:
+            raise FileFormatError(f"cannot parse mode indices {args.subsystem!r}") from exc
         result = entropy.entanglement_entropy(state, modes, args.base)
         kind = "entanglement"
     else:
         result = entropy.von_neumann_entropy(state, args.base)
         kind = "von_neumann"
-    payload = {
+    return {
         "kind": kind,
         "log_base": result.log_base,
         "total": result.total,
         "per_mode": result.per_mode.tolist(),
     }
-    _emit(_json_dump(payload), args.out)
-    return EXIT_OK
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -233,16 +223,16 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
         f"# hbar={g.hbar:.17g}",
         "q,p,w",
     ]
-    q, p, vals = g.q, g.p, w.values
-    for i in range(g.n_q):
-        qi = q[i]
-        row = vals[i]
-        for j in range(g.n_p):
-            lines.append(f"{qi:.17g},{p[j]:.17g},{row[j]:.17g}")
+    # each coordinate is formatted once; rows become Python floats one at a
+    # time, so the whole grid is never held as float objects
+    p_text = [f",{p:.17g}," for p in g.p.tolist()]
+    for q, row in zip(g.q.tolist(), w.values):
+        q_text = f"{q:.17g}"
+        lines.extend([f"{q_text}{pt}{v:.17g}" for pt, v in zip(p_text, row.tolist())])
     return "\n".join(lines)
 
 
-def cmd_wigner(args) -> int:
+def cmd_wigner(args) -> tuple[str, dict | None]:
     sources = [args.state is not None, args.fock is not None, args.coherent is not None]
     if sum(sources) != 1:
         raise FileFormatError("provide exactly one of STATE, --fock or --coherent")
@@ -257,22 +247,18 @@ def cmd_wigner(args) -> int:
         n_p=args.np,
         hbar=args.hbar,
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if args.fock is not None:
-            w = wigner.eval_fock(args.fock, grid)
-            descriptor = f"fock:{args.fock}"
-        elif args.coherent is not None:
-            alpha = _parse_complex(args.coherent)
-            w = wigner.eval_gaussian(states.coherent(alpha), grid)
-            descriptor = f"coherent:{args.coherent}"
-        else:
-            state = load_state(args.state)
-            w = wigner.eval_gaussian(state, grid)
-            descriptor = f"state:{args.state}"
-    for item in caught:
-        print(f"warning: {item.message}", file=sys.stderr)
-    _emit(grid_to_csv(w, descriptor), args.out)
+    if args.fock is not None:
+        w = wigner.eval_fock(args.fock, grid)
+        descriptor = f"fock:{args.fock}"
+    elif args.coherent is not None:
+        alpha = _parse_complex(args.coherent)
+        w = wigner.eval_gaussian(states.coherent(alpha), grid)
+        descriptor = f"coherent:{args.coherent}"
+    else:
+        state = load_state(args.state)
+        w = wigner.eval_gaussian(state, grid)
+        descriptor = f"state:{args.state}"
+    summary = None
     if args.summary:
         bounds = wigner.purity_and_bounds(w)
         summary = {
@@ -282,11 +268,10 @@ def cmd_wigner(args) -> int:
             "min_value": bounds.min_value,
             "negativity_volume": bounds.negativity_volume,
         }
-        sys.stdout.write(_json_dump(summary) + "\n")
-    return EXIT_OK
+    return grid_to_csv(w, descriptor), summary
 
 
-def cmd_coupled_example(args) -> int:
+def cmd_coupled_example(args) -> dict:
     m, omega, lam = args.m, args.omega, args.lam
     if m <= 0 or omega <= 0:
         raise FileFormatError("m and omega must be positive")
@@ -311,7 +296,7 @@ def cmd_coupled_example(args) -> int:
     reduced = states.partial_trace(ground, [0])
     nu_reduced = float(reduced.symplectic_spectrum()[0])
     s_e = entropy.entanglement_entropy(ground, [0], args.base)
-    payload = {
+    return {
         "m": m,
         "omega": omega,
         "lambda": lam,
@@ -324,8 +309,6 @@ def cmd_coupled_example(args) -> int:
         "entanglement_entropy": s_e.total,
         "log_base": s_e.log_base,
     }
-    _emit(_json_dump(payload), args.out)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,19 +387,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = args.func(args)
+            finally:
+                for item in caught:
+                    print(f"warning: {item.message}", file=sys.stderr)
+        text, summary = result if isinstance(result, tuple) else (_json_dump(result), None)
+        if args.out is None:
+            sys.stdout.write(text + "\n")
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        if summary is not None:
+            sys.stdout.write(_json_dump(summary) + "\n")
     except NotPureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (FileFormatError, DimensionError, IndexError) as exc:
+    except (FileFormatError, DimensionError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnphysicalStateError, NoGroundStateError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    return EXIT_OK
 
 
 if __name__ == "__main__":

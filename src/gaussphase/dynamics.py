@@ -25,11 +25,10 @@ from .errors import DimensionError
 from .states import GaussianState, _trusted_state
 from .symplectic import (
     DEFAULT_SYMPLECTIC_TOL,
-    Ordering,
+    _finite,
     _symmetrized,
     check_symplectic,
     make_symplectic_form,
-    reorder,
 )
 
 
@@ -50,6 +49,7 @@ class QuadraticHamiltonian:
         a = np.zeros(dim) if self.alpha is None else np.asarray(self.alpha, dtype=float)
         if a.shape != (dim,):
             raise DimensionError(f"alpha must have length {dim}, got {a.shape}")
+        _finite(a, "alpha")
         f.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "f_bar", f)
@@ -107,9 +107,10 @@ class GaussianChannel:
 def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
     """Converts a ladder-form Hamiltonian to quadrature form.
 
-    Assembles A = W + G + G^dag, B = W - G - G^dag, X = i (W - G + G^dag)
-    into the blockwise matrix [[A, X], [X^dag, B]], whose real part is the
-    symmetric quadrature form; the result is reordered to pairwise.
+    With A = W + G + G^dag, B = W - G - G^dag and X = i (W - G + G^dag),
+    the quadrature form is the real part of the Hermitian matrix with
+    q-q block A, q-p block X, p-q block X^dag and p-p block B, filled
+    directly in pairwise order.
 
     Raises:
         ValueError: if the assembled matrix is not Hermitian within
@@ -122,14 +123,12 @@ def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
     x_blk = 1j * (w - g + gdag)
     n = h.n_modes
     f = np.empty((2 * n, 2 * n), dtype=complex)
-    f[:n, :n] = a_blk
-    f[:n, n:] = x_blk
-    f[n:, :n] = x_blk.conj().T
-    f[n:, n:] = b_blk
+    f[0::2, 0::2] = a_blk
+    f[0::2, 1::2] = x_blk
+    f[1::2, 0::2] = x_blk.conj().T
+    f[1::2, 1::2] = b_blk
     f_bar = _symmetrized(f, "assembled quadrature form").real
-    return QuadraticHamiltonian(
-        n_modes=n, f_bar=reorder(f_bar, Ordering.BLOCKWISE, Ordering.PAIRWISE, n)
-    )
+    return QuadraticHamiltonian(n_modes=n, f_bar=f_bar)
 
 
 def squeeze_hamiltonian(r: float, theta: float = 0.0) -> QuadraticHamiltonian:

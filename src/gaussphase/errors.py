@@ -39,13 +39,6 @@ class TruncationError(GaussPhaseError, ValueError):
     probability mass than the operation tolerates."""
 
 
-class DiagonalizationError(GaussPhaseError, RuntimeError):
-    """Raised when a symplectic diagonalization fails.  The Hermitian route
-    in :mod:`gaussphase.williamson` builds its real orthogonal factor
-    directly and reports input it cannot pair up as ``ValueError``, so it
-    no longer raises this; the class stays for callers that catch it."""
-
-
 class SelfCheckError(GaussPhaseError, RuntimeError):
     """Raised when a closed-form construction disagrees with the
     independent numerical reference it is checked against."""

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, UnphysicalStateError
-from .symplectic import _symmetrized, make_symplectic_form
+from .symplectic import _finite, _symmetrized, make_symplectic_form
 from .williamson import symplectic_spectrum
 
 PHYSICALITY_TOL = 1e-8
@@ -33,12 +33,12 @@ class GaussianState:
     """A Gaussian state: mode count, mean and covariance, both in pairwise
     quadrature order (q1, p1, ..., qn, pn).
 
-    The covariance matrix is symmetrized on construction when its asymmetry
-    is below ``symplectic.SYMMETRY_TOL`` (float noise) and rejected
-    otherwise.  It must
-    be positive definite; full physicality (symplectic eigenvalues >= 1) is
-    checked separately by :func:`physicality_check` so that diagnostic
-    near-physical matrices remain representable.
+    Mean and covariance must be finite.  The covariance matrix is
+    symmetrized on construction when its asymmetry is below
+    ``symplectic.SYMMETRY_TOL`` (float noise) and rejected otherwise.  It
+    must be positive definite; full physicality (symplectic eigenvalues
+    >= 1) is checked separately by :func:`physicality_check` so that
+    diagnostic near-physical matrices remain representable.
     """
 
     n_modes: int
@@ -53,6 +53,7 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (dim,):
             raise DimensionError(f"mean must have length {dim}, got {mean.shape}")
+        _finite(mean, "mean")
         if cov.shape != (dim, dim):
             raise DimensionError(f"cov must be {dim}x{dim}, got {cov.shape}")
         cov = _symmetrized(cov, "covariance matrix")

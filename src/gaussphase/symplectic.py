@@ -2,17 +2,17 @@
 
 Every phase-space vector and matrix in memory is in the pairwise
 ordering (q1, p1, q2, p2, ..., qn, pn).  The blockwise ordering
-(q1, ..., qn, p1, ..., pn) exists only at boundaries: in state and
-Hamiltonian files tagged ``"qqpp"``, which the CLI converts on load, and
-inside :func:`gaussphase.dynamics.ladder_to_quadrature`.  :func:`reorder`
-converts between the two.
+(q1, ..., qn, p1, ..., pn) exists only at the file boundary: state and
+Hamiltonian files tagged ``"qqpp"``, which the CLI converts on load with
+:func:`reorder`.
 
 The symplectic matrix Omega is antisymmetric with Omega^2 = -1, and its
 inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 [[0, -1], [1, 0]].
 
 :func:`_symmetrized` is the one symmetry (Hermiticity) check of the
-package, with the one tolerance ``SYMMETRY_TOL``.
+package, with the one tolerance ``SYMMETRY_TOL``; it also rejects NaN and
+infinite entries, as :func:`_finite` does for vectors.
 """
 
 from __future__ import annotations
@@ -29,14 +29,21 @@ DEFAULT_SYMPLECTIC_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 
 
+def _finite(a: np.ndarray, name: str) -> None:
+    """Raises ValueError naming ``a`` if an entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """Returns (m + m^dag)/2 after checking that ``m`` is symmetric, or
-    Hermitian if complex, up to float noise.
+    """Returns (m + m^dag)/2 after checking that ``m`` is finite and
+    symmetric, or Hermitian if complex, up to float noise.
 
     Raises:
-        ValueError: naming the matrix, if max|m - m^dag| exceeds
-            SYMMETRY_TOL * max(1, max|m|).
+        ValueError: naming the matrix, if an entry is not finite or if
+            max|m - m^dag| exceeds SYMMETRY_TOL * max(1, max|m|).
     """
+    _finite(m, name)
     m_dag = m.conj().T
     asym = np.max(np.abs(m - m_dag))
     if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):

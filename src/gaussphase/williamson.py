@@ -189,21 +189,20 @@ def williamson_decompose(
     )
 
 
-def normal_mode_ground_state(hamiltonian, hbar: float = 1.0):
+def normal_mode_ground_state(hamiltonian):
     """Ground state of a positive definite quadratic Hamiltonian.
 
     Symplectically diagonalizes the Hamiltonian matrix into decoupled
     normal modes, places each in its ground state, and maps the covariance
     back to the original modes.  The two steps collapse to
 
-        sigma = hbar * Sigma^T Sigma,
+        sigma = Sigma^T Sigma,
 
     with Sigma the Williamson diagonalizer of the Hamiltonian matrix.
 
     Args:
         hamiltonian: a ``QuadraticHamiltonian`` (its linear part is ignored;
             a linear term only displaces the ground state's mean).
-        hbar: unit scale; keep the default 1 for dimensionless quadratures.
 
     Returns:
         GaussianState of the ground state (pure, mean zero).
@@ -221,6 +220,6 @@ def normal_mode_ground_state(hamiltonian, hbar: float = 1.0):
             "Hamiltonian matrix is not positive definite "
             f"(min eigenvalue {exc.min_eigenvalue:.3e})"
         ) from None
-    cov = hbar * dec.sigma.T @ dec.sigma
+    cov = dec.sigma.T @ dec.sigma
     mean = np.zeros(2 * hamiltonian.n_modes)
     return GaussianState(n_modes=hamiltonian.n_modes, mean=mean, cov=cov)

@@ -15,7 +15,8 @@ from gaussphase import (
     two_mode_squeezed_vacuum,
     vacuum,
 )
-from gaussphase.cli import main, state_from_dict, state_to_dict
+from gaussphase.cli import grid_to_csv, main, state_from_dict, state_to_dict
+from gaussphase.wigner import PhaseSpaceGrid, WignerGrid
 
 
 def run(capsys, *argv):
@@ -228,6 +229,14 @@ class TestWilliamsonCmd:
         _, out, _ = run(capsys, "williamson", str(path))
         assert json.loads(out)["nu"] == pytest.approx([2.0], abs=1e-12)
 
+    def test_nearly_singular_state_warns(self, tmp_path, capsys):
+        path = self.make_state(tmp_path, capsys, "squeezed", "--r", "14")
+        code, out, err = run(capsys, "williamson", path)
+        assert code == 0
+        assert json.loads(out)["nu"] == pytest.approx([1.0], abs=1e-6)
+        assert err.startswith("warning: f is nearly singular")
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+
     def test_non_positive_definite_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -294,6 +303,15 @@ class TestEntropyCmd:
         assert code == 2
         assert out == ""
         assert "duplicate" in err
+
+    @pytest.mark.parametrize("subsystem", ["--subsystem=a", "--subsystem=", "--subsystem=0,"])
+    def test_unparsable_subsystem_exit_code(self, tmp_path, capsys, subsystem):
+        path = tmp_path / "tm.json"
+        run(capsys, "state", "make", "tmsv", "--r", "1", "--out", str(path))
+        code, out, err = run(capsys, "entropy", str(path), subsystem)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_base_two(self, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -422,6 +440,41 @@ class TestWignerCmd:
         assert "warning:" in err
 
 
+def reference_csv(w, descriptor):
+    """The grid CSV formatted element by element, one f-string per line."""
+    g = w.grid
+    lines = [
+        f"# state={descriptor}",
+        f"# q_min={g.q_min:.17g}",
+        f"# q_max={g.q_max:.17g}",
+        f"# p_min={g.p_min:.17g}",
+        f"# p_max={g.p_max:.17g}",
+        f"# n_q={g.n_q}",
+        f"# n_p={g.n_p}",
+        f"# hbar={g.hbar:.17g}",
+        "q,p,w",
+    ]
+    for i in range(g.n_q):
+        for j in range(g.n_p):
+            lines.append(f"{g.q[i]:.17g},{g.p[j]:.17g},{w.values[i, j]:.17g}")
+    return "\n".join(lines)
+
+
+def test_grid_to_csv_matches_per_element_formatting():
+    # subnormal and 17-digit bounds, and values with -0.0, subnormals and full mantissas
+    grid = PhaseSpaceGrid(
+        q_min=-3e-310, q_max=1 / 3, p_min=-0.1, p_max=2.0**-1074 * 7, n_q=5, n_p=7, hbar=0.7
+    )
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-0.3, 0.3, size=(5, 7))
+    values[0, :4] = [-0.0, 0.0, 5e-324, -2.2250738585072e-308]
+    values[1, :3] = [0.1, -1 / 7, np.nextafter(0.2, 1.0)]
+    w = WignerGrid(grid=grid, values=values)
+    text = grid_to_csv(w, "pinned")
+    assert text == reference_csv(w, "pinned")
+    assert ",-0\n" in text and "e-324\n" in text and "e-310," in text
+
+
 class TestCoupledExample:
     def test_decoupled(self, capsys):
         code, out, _ = run(capsys, "coupled-example", "--lambda", "0")
@@ -463,6 +516,44 @@ class TestCoupledExample:
         assert data["nu_reduced"] == pytest.approx(
             (1 + expected_alpha) / (2 * np.sqrt(expected_alpha)), abs=1e-9
         )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "make", "vacuum"],
+        ["coupled-example", "--lambda", "0.5"],
+        ["wigner", "--fock", "1", "--nq", "11", "--np", "11", "--summary"],
+    ],
+    ids=["state", "coupled-example", "wigner"],
+)
+def test_unwritable_out_exit_code(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "x.out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["williamson", "entropy"])
+@pytest.mark.parametrize(
+    "entry, value",
+    [("cov", float("nan")), ("cov", float("inf")), ("mean", float("nan"))],
+    ids=["cov-nan", "cov-inf", "mean-nan"],
+)
+def test_non_finite_state_file_exit_code(tmp_path, capsys, command, entry, value):
+    data = state_to_dict(squeezed_vacuum(0.5))
+    if entry == "cov":
+        data["cov"][0][1] = data["cov"][1][0] = value
+    else:
+        data["mean"][1] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # written with the JSON extensions NaN / Infinity
+    out_path = tmp_path / "result.json"
+    code, out, err = run(capsys, command, str(path), "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not out_path.exists()
 
 
 def test_usage_error_exit_code(capsys):

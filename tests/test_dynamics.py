@@ -70,10 +70,42 @@ class TestLadderToQuadrature:
         )
         assert np.allclose(ham.f_bar, omega * np.eye(4), atol=1e-14)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pairwise_fill_matches_blockwise_assembly(self, n):
+        # reference: the blockwise matrix [[A, X], [X^dag, B]] reordered to pairwise
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w = a + a.conj().T
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g = g + g.T
+        gdag = g.conj().T
+        x = 1j * (w - g + gdag)
+        blockwise = np.block([[w + g + gdag, x], [x.conj().T, w - g - gdag]])
+        hermitian = 0.5 * (blockwise + blockwise.conj().T)
+        expected = reorder(hermitian.real, Ordering.BLOCKWISE, Ordering.PAIRWISE)
+        ham = ladder_to_quadrature(LadderHamiltonian(n_modes=n, w=w, g=g))
+        assert np.array_equal(ham.f_bar, expected)
+
     def test_non_hermitian_w_rejected(self):
         w = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             LadderHamiltonian(n_modes=2, w=w, g=np.zeros((2, 2)))
+
+
+class TestQuadraticHamiltonian:
+    @pytest.mark.parametrize(
+        "f_bar, alpha",
+        [
+            ([[1.0, float("nan")], [float("nan"), 1.0]], None),
+            ([[float("inf"), 0.0], [0.0, 1.0]], None),
+            (np.eye(2), [float("nan"), 0.0]),
+            (np.eye(2), [0.0, float("inf")]),
+        ],
+        ids=["f-nan", "f-inf", "alpha-nan", "alpha-inf"],
+    )
+    def test_non_finite_entries_rejected(self, f_bar, alpha):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticHamiltonian(n_modes=1, f_bar=f_bar, alpha=alpha)
 
 
 class TestGenerateChannel:

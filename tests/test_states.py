@@ -239,6 +239,26 @@ def test_asymmetric_covariance_rejected():
         GaussianState(n_modes=1, mean=np.zeros(2), cov=cov)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "mean, cov",
+    [
+        ([0.0, 0.0], [[1.0, NAN], [NAN, 1.0]]),
+        ([0.0, 0.0], [[NAN, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[INF, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[1.0, INF], [INF, 1.0]]),
+        ([NAN, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        ([0.0, -INF], [[1.0, 0.0], [0.0, 1.0]]),
+    ],
+    ids=["cov-offdiag-nan", "cov-diag-nan", "cov-diag-inf", "cov-offdiag-inf", "mean-nan", "mean-inf"],
+)
+def test_non_finite_moments_rejected(mean, cov):
+    with pytest.raises(ValueError, match="non-finite"):
+        GaussianState(n_modes=1, mean=mean, cov=cov)
+
+
 def test_small_asymmetry_symmetrized():
     cov = np.eye(2)
     cov[0, 1] = 1e-12
