@@ -34,7 +34,6 @@ from .errors import (
     NoGroundStateError,
     NotPositiveDefiniteError,
     NotPureError,
-    QuadratureError,
     SelfCheckError,
     TruncationError,
     UnphysicalStateError,

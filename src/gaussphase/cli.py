@@ -238,15 +238,18 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
         raise FileFormatError("provide exactly one of STATE, --fock or --coherent")
     q_min, q_max = _parse_range(args.qrange)
     p_min, p_max = _parse_range(args.prange)
-    grid = wigner.PhaseSpaceGrid(
-        q_min=q_min,
-        q_max=q_max,
-        p_min=p_min,
-        p_max=p_max,
-        n_q=args.nq,
-        n_p=args.np,
-        hbar=args.hbar,
-    )
+    try:
+        grid = wigner.PhaseSpaceGrid(
+            q_min=q_min,
+            q_max=q_max,
+            p_min=p_min,
+            p_max=p_max,
+            n_q=args.nq,
+            n_p=args.np,
+            hbar=args.hbar,
+        )
+    except ValueError as exc:  # the grid comes from command-line arguments alone
+        raise FileFormatError(str(exc)) from exc
     if args.fock is not None:
         w = wigner.eval_fock(args.fock, grid)
         descriptor = f"fock:{args.fock}"

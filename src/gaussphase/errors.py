@@ -44,11 +44,6 @@ class SelfCheckError(GaussPhaseError, RuntimeError):
     independent numerical reference it is checked against."""
 
 
-class QuadratureError(GaussPhaseError, RuntimeError):
-    """Raised when a numerical Wigner transform leaves a non-negligible
-    imaginary residue."""
-
-
 class ConditioningWarning(UserWarning):
     """Warns about ill-conditioned inputs (near-singular matrices)."""
 

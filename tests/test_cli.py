@@ -420,6 +420,26 @@ class TestWignerCmd:
         code, _, _ = run(capsys, "wigner", "--fock", "1", "--coherent", "1+0i")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--nq=1",
+            "--np=1",
+            "--hbar=0",
+            "--qrange=3:1",
+            "--hbar=nan",
+            "--hbar=inf",
+            "--qrange=nan:1",
+        ],
+    )
+    def test_bad_grid_argument_exit_code(self, tmp_path, capsys, flag):
+        out_path = tmp_path / "w.csv"
+        code, out, err = run(capsys, "wigner", "--fock", "0", flag, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_narrow_grid_warns_but_succeeds(self, tmp_path, capsys):
         gpath = tmp_path / "g.csv"
         code, _, err = run(

@@ -5,7 +5,6 @@ from gaussphase import (
     DimensionError,
     GridAdequacyWarning,
     PhaseSpaceGrid,
-    QuadratureError,
     SampledWavefunction,
     centered_grid,
     coherent,
@@ -210,6 +209,12 @@ class TestWignerFromWavefunction:
         expected = eval_gaussian(coherent(1j * p0 / np.sqrt(2.0)), GRID)
         assert np.max(np.abs(w.values - expected.values)) < 1e-5
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_hbar_two_matches_fock(self, n):
+        grid = centered_grid(8.0, 81, hbar=2.0)
+        w = wigner_from_wavefunction(sampled_eigenfunction(n, x_half=12.0, hbar=2.0), grid)
+        assert np.max(np.abs(w.values - eval_fock(n, grid).values)) < 1e-5
+
     def test_grid_outside_window_rejected(self):
         psi = sampled_eigenfunction(0, x_half=4.0)
         with pytest.raises(ValueError):
@@ -236,3 +241,25 @@ class TestSampledWavefunction:
             PhaseSpaceGrid(q_min=1, q_max=0, p_min=0, p_max=1, n_q=10, n_p=10)
         with pytest.raises(ValueError):
             PhaseSpaceGrid(q_min=0, q_max=1, p_min=0, p_max=1, n_q=1, n_p=10)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("q_min", np.nan), ("p_max", np.inf), ("hbar", np.inf), ("hbar", np.nan)],
+    )
+    def test_grid_rejects_non_finite(self, field, value):
+        bounds = dict(q_min=-1.0, q_max=1.0, p_min=-1.0, p_max=1.0, n_q=5, n_p=5, hbar=1.0)
+        bounds[field] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            PhaseSpaceGrid(**bounds)
+
+    def test_rejects_non_finite_samples(self):
+        x = np.linspace(-4, 4, 101)
+        samples = np.exp(-0.5 * x**2).astype(complex)
+        samples[50] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            SampledWavefunction(x_min=-4, x_max=4, psi=samples)
+
+    @pytest.mark.parametrize("x_min, x_max", [(-4.0, np.inf), (-np.inf, 4.0), (np.nan, 4.0)])
+    def test_rejects_non_finite_window(self, x_min, x_max):
+        with pytest.raises(ValueError, match="non-finite"):
+            SampledWavefunction(x_min=x_min, x_max=x_max, psi=np.ones(11))
