@@ -53,13 +53,7 @@ from .states import (
     two_mode_squeezed_vacuum,
     vacuum,
 )
-from .symplectic import (
-    Ordering,
-    SymplecticForm,
-    check_symplectic,
-    make_symplectic_form,
-    reorder,
-)
+from .symplectic import SymplecticForm, check_symplectic, make_symplectic_form
 from .wigner import (
     PhaseSpaceGrid,
     SampledWavefunction,

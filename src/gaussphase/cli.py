@@ -32,14 +32,14 @@ import numpy as np
 
 from . import dynamics, entropy, states, wigner, williamson
 from .errors import DimensionError, NoGroundStateError, NotPureError, UnphysicalStateError
-from .symplectic import Ordering, check_symplectic, reorder
+from .symplectic import check_symplectic
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_PRECONDITION = 4
 
-_ORDERING_TAGS = {"qpqp": Ordering.PAIRWISE, "qqpp": Ordering.BLOCKWISE}
+_BLOCKWISE_TAGS = {"qpqp": False, "qqpp": True}
 
 
 class FileFormatError(Exception):
@@ -54,18 +54,34 @@ def _parse_complex(text: str) -> complex:
 
 
 def _to_pairwise(tag: str, n_modes: int, *arrays: np.ndarray | None) -> list:
-    """Brings arrays read from a file tagged ``tag`` into pairwise order
-    (None passes through); an unknown tag raises KeyError."""
-    source = _ORDERING_TAGS[tag]
-    if source is Ordering.PAIRWISE:
+    """Brings vectors and matrices read from a file tagged ``tag`` into
+    pairwise order (None passes through).
+
+    A ``"qqpp"`` array must have shape (2n,) or (2n, 2n); pairwise entry
+    2k is blockwise entry k (q_k) and 2k + 1 is n + k (p_k).
+
+    Raises:
+        KeyError: for an unknown tag.
+        DimensionError: for a blockwise array of any other shape.
+    """
+    if not _BLOCKWISE_TAGS[tag]:
         return list(arrays)
-    return [None if a is None else reorder(a, source, Ordering.PAIRWISE, n_modes) for a in arrays]
+    dim = 2 * n_modes
+    idx = np.arange(dim).reshape(2, -1).T.ravel()
+    out = []
+    for a in arrays:
+        if a is not None:
+            if a.shape not in ((dim,), (dim, dim)):
+                raise DimensionError(f"shape {a.shape} does not match {n_modes} modes")
+            a = a[idx] if a.ndim == 1 else a[np.ix_(idx, idx)]
+        out.append(a)
+    return out
 
 
 def state_to_dict(state: states.GaussianState, metadata: dict | None = None) -> dict:
     return {
         "n_modes": state.n_modes,
-        "ordering": Ordering.PAIRWISE.value,
+        "ordering": "qpqp",
         "mean": (state.mean + 0.0).tolist(),
         "cov": (state.cov + 0.0).tolist(),
         "metadata": metadata or {},

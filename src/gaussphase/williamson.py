@@ -38,13 +38,7 @@ from .errors import (
     NoGroundStateError,
     NotPositiveDefiniteError,
 )
-from .symplectic import (
-    DEFAULT_SYMPLECTIC_TOL,
-    SymplecticForm,
-    _symmetrized,
-    check_symplectic,
-    make_symplectic_form,
-)
+from .symplectic import SymplecticForm, _symmetrized, check_symplectic, make_symplectic_form
 
 DEFAULT_WILLIAMSON_TOL = 1e-8
 _COND_FLOOR = 1e-12
@@ -179,7 +173,7 @@ def williamson_decompose(
     diag_form = np.diag(np.repeat(nu, 2))
 
     residual_diag = float(np.max(np.abs(sigma @ f @ sigma.T - diag_form)))
-    residual_sympl = check_symplectic(sigma, form, DEFAULT_SYMPLECTIC_TOL).residual
+    residual_sympl = check_symplectic(sigma, form).residual
     return WilliamsonDecomposition(
         nu=nu,
         sigma=sigma,

@@ -2,12 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from conftest import to_blockwise
 
 from gaussphase import (
-    Ordering,
     apply_channel,
     generate_channel,
-    reorder,
     squeezed_vacuum,
     tensor,
     thermal,
@@ -127,6 +126,20 @@ class TestEvolve:
         state = state_from_dict(json.loads(out))
         assert np.max(np.abs(state.cov - two_mode_squeezed_vacuum(0.8, 0.5).cov)) < 1e-10
 
+    @pytest.mark.parametrize("theta", ["0", "0.3", "1"])
+    def test_strong_squeeze_accepted(self, vac_file, capsys, theta):
+        argv = ["evolve", vac_file, "--builtin", "squeeze", "--r", "10", "--theta", theta]
+        code, out, err = run(capsys, *argv, "--time", "1")
+        assert code == 0, err
+        # the closed form, not squeezed_vacuum: at r = 10 its e^-20
+        # eigenvalue is below the resolution of the e^20 entries
+        c, s, t = np.cosh(20.0), np.sinh(20.0), float(theta)
+        expected = np.array(
+            [[c - np.cos(t) * s, -np.sin(t) * s], [-np.sin(t) * s, c + np.cos(t) * s]]
+        )
+        cov = np.asarray(json.loads(out)["cov"])
+        assert np.max(np.abs(cov - expected)) <= 1e-9 * c
+
     def test_verbose_reports_residual(self, vac_file, capsys):
         code, _, err = run(
             capsys, "evolve", vac_file, "--builtin", "rotate", "--time", "1", "--verbose"
@@ -145,11 +158,11 @@ class TestEvolve:
         assert code == 2
 
 
-def to_blockwise(data, *keys):
+def blockwise_file(data, *keys):
     """Copy of a pairwise file dict with ``keys`` permuted and tagged "qqpp"."""
     out = dict(data, ordering="qqpp")
     for key in keys:
-        out[key] = reorder(np.asarray(data[key]), Ordering.PAIRWISE, Ordering.BLOCKWISE).tolist()
+        out[key] = to_blockwise(data[key]).tolist()
     return out
 
 
@@ -163,7 +176,7 @@ class TestBlockwiseFiles:
         state = apply_channel(channel, tensor(squeezed_vacuum(0.6, 0.4), thermal(1.7)))
         data = dict(state_to_dict(state), mean=[0.1, -0.4, 0.7, 0.2])
         paths = []
-        for name, content in [("pair.json", data), ("block.json", to_blockwise(data, "mean", "cov"))]:
+        for name, content in [("pair.json", data), ("block.json", blockwise_file(data, "mean", "cov"))]:
             path = tmp_path / name
             path.write_text(json.dumps(content))
             paths.append(str(path))
@@ -194,7 +207,7 @@ class TestBlockwiseFiles:
         a = np.arange(16.0).reshape(4, 4) / 10
         ham = {"f_bar": (a @ a.T + np.eye(4)).tolist(), "alpha": [0.3, -0.1, 0.5, 0.2]}
         outputs = []
-        for name, content in [("hp.json", ham), ("hb.json", to_blockwise(ham, "f_bar", "alpha"))]:
+        for name, content in [("hp.json", ham), ("hb.json", blockwise_file(ham, "f_bar", "alpha"))]:
             hpath = tmp_path / name
             hpath.write_text(json.dumps(content))
             argv = ["evolve", twins[0], "--hamiltonian", str(hpath), "--time", "0.6"]
@@ -203,6 +216,60 @@ class TestBlockwiseFiles:
             outputs.append(json.loads(out))
         assert outputs[0]["cov"] == outputs[1]["cov"]
         assert outputs[0]["mean"] == outputs[1]["mean"]
+
+
+class TestMalformedFiles:
+    """Malformed state and Hamiltonian files exit 2 and write no output.
+
+    A cov of shape (1, 4) at one mode has 4 n^2 entries, so only a shape
+    check, not a reshape, refuses it."""
+
+    Z2, E2, E4 = [0.0, 0.0], np.eye(2).tolist(), np.eye(4).tolist()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"n_modes": 1, "ordering": "xyz", "mean": Z2, "cov": E2},
+            {"n_modes": 1, "ordering": None, "mean": Z2, "cov": E2},
+            {"n_modes": 1, "ordering": "qqpp", "mean": Z2, "cov": E4},
+            {"n_modes": 1, "ordering": "qqpp", "mean": [0.0] * 4, "cov": E2},
+            {"n_modes": 2, "ordering": "qqpp", "mean": Z2, "cov": E4},
+            {"n_modes": 1, "ordering": "qqpp", "mean": Z2, "cov": np.eye(2, 3).tolist()},
+            {"n_modes": 1, "ordering": "qqpp", "mean": Z2, "cov": [[1.0, 0.0, 0.0, 1.0]]},
+            {"n_modes": 1, "ordering": "qqpp", "mean": [[0.0], [0.0]], "cov": E2},
+        ],
+        ids=["tag-xyz", "tag-null", "cov4-n1", "mean4-n1", "mean2-n2", "cov2x3", "cov1x4", "mean2d"],
+    )
+    def test_state_file(self, tmp_path, capsys, content):
+        path, out_path = tmp_path / "s.json", tmp_path / "o.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "williamson", str(path), "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid state file")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"ordering": "qqpp", "f_bar": np.eye(3).tolist()},
+            {"n_modes": 1, "ordering": "qqpp", "f_bar": E4},
+            {"ordering": "qqpp", "f_bar": E2, "alpha": [0.0, 0.0, 0.0]},
+            {"ordering": "abc", "f_bar": E2},
+        ],
+        ids=["f3x3", "f4x4-n1", "alpha3", "tag-abc"],
+    )
+    def test_hamiltonian_file(self, tmp_path, capsys, content):
+        state_path, out_path = tmp_path / "v.json", tmp_path / "o.json"
+        assert run(capsys, "state", "make", "vacuum", "--out", str(state_path))[0] == 0
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(content))
+        argv = ["evolve", str(state_path), "--hamiltonian", str(path), "--time", "1"]
+        code, out, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read hamiltonian file")
+        assert not out_path.exists()
 
 
 class TestWilliamsonCmd:

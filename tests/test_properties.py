@@ -1,8 +1,8 @@
-"""Property-based checks of the Williamson decomposition and of purity
-under symplectic channels, on random thermal spectra conjugated by random
-symplectic matrices of up to six modes, and of the half-range Wigner
-transform against the full-range complex sum, on complex superpositions of
-oscillator eigenfunctions."""
+"""Property-based checks of the Williamson decomposition, of purity under
+symplectic channels and of the physicality test, on random spectra
+conjugated by random symplectic matrices of up to six modes, and of the
+half-range Wigner transform against the full-range complex sum, on complex
+superpositions of oscillator eigenfunctions."""
 
 import warnings
 
@@ -20,20 +20,22 @@ from gaussphase import (
     apply_channel,
     generate_channel,
     oscillator_eigenfunction,
+    physicality_check,
     purity,
     vacuum,
     wigner_from_wavefunction,
     williamson_decompose,
 )
-from gaussphase.states import PURITY_TOL
+from gaussphase.states import PHYSICALITY_TOL, PURITY_TOL
 
 
 @st.composite
-def conjugated_thermal(draw):
-    """(nu, channel): a thermal spectrum and a channel generated by a random
-    symmetric Hamiltonian with entries in [-0.3, 0.3] at unit time."""
+def conjugated_thermal(draw, nu=st.floats(1.0, 5.0)):
+    """(nu, channel): a spectrum drawn from ``nu`` and a channel generated
+    by a random symmetric Hamiltonian with entries in [-0.3, 0.3] at unit
+    time."""
     n = draw(st.integers(1, 6))
-    nu = np.array(draw(st.lists(st.floats(1.0, 5.0), min_size=n, max_size=n)))
+    nu = np.array(draw(st.lists(nu, min_size=n, max_size=n)))
     gen = draw(arrays(np.float64, (2 * n, 2 * n), elements=st.floats(-0.3, 0.3)))
     ham = QuadraticHamiltonian(n_modes=n, f_bar=0.5 * (gen + gen.T))
     return nu, generate_channel(ham, 1.0)
@@ -60,6 +62,27 @@ def test_channel_on_vacuum_is_pure(case):
     report = purity(apply_channel(channel, vacuum(nu.size)))
     assert abs(report.purity - 1.0) <= PURITY_TOL
     assert report.is_pure
+
+
+# on both sides of 1, with values just inside and just outside the tolerance
+spectrum_around_one = st.one_of(
+    st.sampled_from([1.0, 1.0 - 0.1 * PHYSICALITY_TOL, 1.0 - 10 * PHYSICALITY_TOL]),
+    st.floats(0.5, 3.0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(conjugated_thermal(spectrum_around_one))
+def test_physicality_is_min_symplectic_eigenvalue(case):
+    nu, channel = case
+    n, nu_min = nu.size, float(nu.min())
+    assume(abs(nu_min - (1.0 - PHYSICALITY_TOL)) > 1e-10)
+    s = channel.s
+    cov = s @ np.diag(np.repeat(nu, 2)) @ s.T
+    state = GaussianState(n_modes=n, mean=np.zeros(2 * n), cov=0.5 * (cov + cov.T))
+    report = physicality_check(state)
+    assert report.ok == (nu_min >= 1.0 - PHYSICALITY_TOL)
+    assert abs(report.min_symplectic_eigenvalue - nu_min) <= 1e-8 * nu_min
 
 
 def full_range_transform(psi, grid):

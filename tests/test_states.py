@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from conftest import to_blockwise
 
 from gaussphase import (
     DimensionError,
     GaussianState,
-    Ordering,
     UnphysicalStateError,
     coherent,
     fock,
@@ -12,7 +12,6 @@ from gaussphase import (
     partial_trace,
     physicality_check,
     purity,
-    reorder,
     squeezed_vacuum,
     tensor,
     thermal,
@@ -21,7 +20,7 @@ from gaussphase import (
     von_neumann_entropy,
 )
 from gaussphase.cli import state_from_dict
-from gaussphase.states import PURITY_TOL
+from gaussphase.states import PHYSICALITY_TOL, PURITY_TOL
 
 
 def test_vacuum_single_mode():
@@ -174,8 +173,8 @@ def test_partial_trace_blockwise():
     data = {
         "n_modes": 2,
         "ordering": "qqpp",
-        "mean": reorder(tmsv.mean, Ordering.PAIRWISE, Ordering.BLOCKWISE).tolist(),
-        "cov": reorder(tmsv.cov, Ordering.PAIRWISE, Ordering.BLOCKWISE).tolist(),
+        "mean": to_blockwise(tmsv.mean).tolist(),
+        "cov": to_blockwise(tmsv.cov).tolist(),
     }
     state = state_from_dict(data)
     assert np.array_equal(state.cov, tmsv.cov)
@@ -224,7 +223,15 @@ def test_physicality_check_detects_sub_vacuum():
     report = physicality_check(state)
     assert not report.ok
     assert report.min_symplectic_eigenvalue == pytest.approx(0.5)
-    assert report.min_eigenvalue < -1e-3
+
+
+def test_physicality_check_boundary_is_one_minus_tol():
+    for factor, ok in ((2.0, False), (0.5, True)):
+        nu = 1.0 - factor * PHYSICALITY_TOL
+        state = GaussianState(n_modes=1, mean=np.zeros(2), cov=nu * np.eye(2))
+        report = physicality_check(state)
+        assert report.ok is ok
+        assert report.min_symplectic_eigenvalue == pytest.approx(nu, rel=1e-14)
 
 
 def test_physicality_check_squeezed_is_pure():

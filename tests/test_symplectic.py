@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from conftest import to_blockwise
 
 from gaussphase import (
     DimensionError,
-    Ordering,
+    GaussianChannel,
     check_symplectic,
+    generate_channel,
     make_symplectic_form,
-    reorder,
+    squeeze_hamiltonian,
+    two_mode_squeeze_hamiltonian,
 )
+from gaussphase.cli import FileFormatError, load_state, main, state_from_dict
 
 BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -15,7 +21,7 @@ BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 def test_single_mode_pairwise_form():
     form = make_symplectic_form(1)
     assert np.array_equal(form.omega, BLOCK)
-    assert np.array_equal(form.omega_inv, -BLOCK)
+    assert np.array_equal(form.omega.T, -BLOCK)
 
 
 def test_two_mode_pairwise_is_direct_sum():
@@ -33,7 +39,7 @@ def blockwise_omega(n_modes):
 
 def test_single_mode_orderings_coincide():
     pair = make_symplectic_form(1).omega
-    assert np.array_equal(reorder(pair, Ordering.PAIRWISE, Ordering.BLOCKWISE), pair)
+    assert np.array_equal(to_blockwise(pair), pair)
     assert np.array_equal(pair, blockwise_omega(1))
 
 
@@ -43,12 +49,14 @@ def test_zero_modes_rejected():
 
 
 @pytest.mark.parametrize("n_modes", range(1, 7))
-@pytest.mark.parametrize("ordering", [Ordering.PAIRWISE, Ordering.BLOCKWISE])
-def test_form_identities(n_modes, ordering):
-    form = make_symplectic_form(n_modes)
-    omega = reorder(form.omega, Ordering.PAIRWISE, ordering)
-    omega_inv = reorder(form.omega_inv, Ordering.PAIRWISE, ordering)
-    if ordering is Ordering.BLOCKWISE:
+@pytest.mark.parametrize(
+    "blockwise", [False, True], ids=["Ordering.PAIRWISE", "Ordering.BLOCKWISE"]
+)
+def test_form_identities(n_modes, blockwise):
+    omega = make_symplectic_form(n_modes).omega
+    omega_inv = omega.T
+    if blockwise:
+        omega, omega_inv = to_blockwise(omega), to_blockwise(omega_inv)
         assert np.array_equal(omega, blockwise_omega(n_modes))
     assert np.array_equal(omega, -omega.T)
     assert np.allclose(omega @ omega, -np.eye(2 * n_modes), atol=0)
@@ -67,8 +75,8 @@ def test_check_symplectic_squeeze_direct_multiplication():
     m = np.diag([np.exp(-r), np.exp(r)])
     form = make_symplectic_form(1)
     # independent oracle: carry out the multiplication by hand
-    oracle = m @ form.omega_inv @ m.T
-    assert np.max(np.abs(oracle - form.omega_inv)) < 1e-15
+    oracle = m @ form.omega.T @ m.T
+    assert np.max(np.abs(oracle - form.omega.T)) < 1e-15
     ok, residual = check_symplectic(m, form)
     assert ok and residual < 1e-15
 
@@ -76,7 +84,7 @@ def test_check_symplectic_squeeze_direct_multiplication():
 def test_check_symplectic_rejects_non_symplectic():
     m = np.diag([2.0, 1.0])
     form = make_symplectic_form(1)
-    expected_residual = np.max(np.abs(m @ form.omega_inv @ m.T - form.omega_inv))
+    expected_residual = np.max(np.abs(m @ form.omega.T @ m.T - form.omega.T))
     ok, residual = check_symplectic(m, form)
     assert not ok
     assert residual == pytest.approx(expected_residual)
@@ -90,61 +98,80 @@ def test_check_symplectic_dimension_mismatch():
         check_symplectic(np.eye(3))
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, 2.5])
+def test_check_symplectic_tolerance_scales_with_entries(theta):
+    # the residual of m Omega^-1 m^T grows like eps times its largest
+    # summed term; at r = 10 the terms reach e^20 and the residual about 1e-9
+    for r in (1.0, 5.0, 8.0, 9.0, 10.0):
+        s = generate_channel(squeeze_hamiltonian(r, theta), 1.0).s
+        assert check_symplectic(s).ok
+    assert check_symplectic(generate_channel(two_mode_squeeze_hamiltonian(15.0, theta), 1.0).s).ok
+    assert not check_symplectic(np.diag([2.0, 1.0])).ok
+    assert not check_symplectic(np.diag([1e4, 1e4])).ok
+    # large entries that never meet in one term earn no looser bound
+    assert not check_symplectic(np.diag([1e5, 5e-6])).ok
+    assert not check_symplectic(np.diag([1e4, 1.0001e-4])).ok
+
+
+def test_channel_rejects_area_changing_matrix():
+    with pytest.raises(ValueError, match="not symplectic"):
+        GaussianChannel(np.diag([1e5, 5e-6]), np.zeros(2))
+
+
+# Blockwise ("qqpp") vectors and matrices exist only in files; the CLI
+# loader converts them to pairwise order.
+
+
+def load_blockwise(n_modes, mean, cov):
+    return state_from_dict({"n_modes": n_modes, "ordering": "qqpp", "mean": mean, "cov": cov})
+
+
 def test_reorder_vector_blockwise_to_pairwise():
-    v = np.array([1.0, 2.0, 3.0, 4.0])  # (q1, q2, p1, p2)
-    out = reorder(v, Ordering.BLOCKWISE, Ordering.PAIRWISE)
-    assert np.array_equal(out, [1.0, 3.0, 2.0, 4.0])  # (q1, p1, q2, p2)
+    state = load_blockwise(2, [1.0, 2.0, 3.0, 4.0], np.eye(4).tolist())  # (q1, q2, p1, p2)
+    assert np.array_equal(state.mean, [1.0, 3.0, 2.0, 4.0])  # (q1, p1, q2, p2)
 
 
-def test_reorder_two_mode_squeezed_covariance():
+def test_reorder_two_mode_squeezed_covariance(tmp_path):
     # blockwise (q1, q2, p1, p2) covariance of the two-mode squeezed vacuum
     r, theta = 0.8, 0.6
     ch, cs, sn = np.cosh(r), np.cos(theta) * np.sinh(r), np.sin(theta) * np.sinh(r)
-    blockwise = np.array(
-        [
-            [ch, -cs, 0.0, -sn],
-            [-cs, ch, -sn, 0.0],
-            [0.0, -sn, ch, cs],
-            [-sn, 0.0, cs, ch],
-        ]
+    blockwise = [
+        [ch, -cs, 0.0, -sn],
+        [-cs, ch, -sn, 0.0],
+        [0.0, -sn, ch, cs],
+        [-sn, 0.0, cs, ch],
+    ]
+    block_path = tmp_path / "block.json"
+    block_path.write_text(
+        json.dumps({"n_modes": 2, "ordering": "qqpp", "mean": [0.0] * 4, "cov": blockwise})
     )
-    pairwise = np.array(
-        [
-            [ch, 0.0, -cs, -sn],
-            [0.0, ch, -sn, cs],
-            [-cs, -sn, ch, 0.0],
-            [-sn, cs, 0.0, ch],
-        ]
-    )
-    assert np.array_equal(reorder(blockwise, Ordering.BLOCKWISE, Ordering.PAIRWISE), pairwise)
+    made_path = tmp_path / "made.json"
+    argv = ["state", "make", "tmsv", "--r", "0.8", "--theta", "0.6", "--out", str(made_path)]
+    assert main(argv) == 0
+    loaded, made = load_state(str(block_path)), load_state(str(made_path))
+    assert np.array_equal(loaded.cov, made.cov)
+    assert np.array_equal(loaded.mean, made.mean)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 5])
 def test_reorder_identity_invariant(n_modes):
     eye = np.eye(2 * n_modes)
-    for src, dst in [(Ordering.BLOCKWISE, Ordering.PAIRWISE), (Ordering.PAIRWISE, Ordering.BLOCKWISE)]:
-        assert np.array_equal(reorder(eye, src, dst), eye)
+    state = load_blockwise(n_modes, [0.0] * (2 * n_modes), eye.tolist())
+    assert np.array_equal(state.cov, eye)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 4])
 def test_reorder_round_trip_is_bitwise_exact(n_modes):
+    # pairwise -> blockwise file -> pairwise state restores every bit
     rng = np.random.default_rng(7)
-    m = rng.integers(-50, 50, size=(2 * n_modes, 2 * n_modes)).astype(float)
-    back = reorder(
-        reorder(m, Ordering.PAIRWISE, Ordering.BLOCKWISE),
-        Ordering.BLOCKWISE,
-        Ordering.PAIRWISE,
-    )
-    assert np.array_equal(back, m)
-    v = rng.integers(-50, 50, size=2 * n_modes).astype(float)
-    back_v = reorder(
-        reorder(v, Ordering.BLOCKWISE, Ordering.PAIRWISE),
-        Ordering.PAIRWISE,
-        Ordering.BLOCKWISE,
-    )
-    assert np.array_equal(back_v, v)
+    a = rng.integers(-50, 50, size=(2 * n_modes, 2 * n_modes)).astype(float)
+    cov = a @ a.T + np.eye(2 * n_modes)
+    mean = rng.integers(-50, 50, size=2 * n_modes).astype(float)
+    state = load_blockwise(n_modes, to_blockwise(mean).tolist(), to_blockwise(cov).tolist())
+    assert np.array_equal(state.cov, cov)
+    assert np.array_equal(state.mean, mean)
 
 
 def test_reorder_odd_dimension_rejected():
-    with pytest.raises(DimensionError):
-        reorder(np.zeros(3), Ordering.PAIRWISE, Ordering.BLOCKWISE)
+    with pytest.raises(FileFormatError):
+        load_blockwise(1, [0.0, 0.0, 0.0], np.eye(2).tolist())
