@@ -5,8 +5,7 @@ under quadratic Hamiltonians, Williamson diagonalization, entropies, and
 Wigner functions on grids, cross-checked by a truncated Fock-space oracle.
 """
 
-import importlib
-
+from . import fock
 from .dynamics import (
     GaussianChannel,
     LadderHamiltonian,
@@ -78,10 +77,3 @@ from .williamson import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # The Fock oracle imports scipy, which dominates start-up time, and no
-    # CLI command uses it, so it is imported on first access (PEP 562).
-    if name == "fock":
-        return importlib.import_module(".fock", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

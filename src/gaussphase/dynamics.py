@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .states import GaussianState, _trusted_state
-from .symplectic import _finite, _symmetrized, check_symplectic, make_symplectic_form
+from .symplectic import _expm, _finite, _symmetrized, check_symplectic, make_symplectic_form
 
 
 @dataclass(frozen=True)
@@ -153,16 +153,14 @@ def rotation_hamiltonian(n_modes: int = 1) -> QuadraticHamiltonian:
 def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     """Exponentiates a quadratic Hamiltonian into a Gaussian channel.
 
-    S = exp(Omega^-1 Fbar t) by scaling-and-squaring; the displacement is
-    read off the augmented exponential exp([[M, 1], [0, 0]] t), whose
-    top-right block equals t * Phi(M t), so no inversion of M is needed.
+    S = exp(Omega^-1 Fbar t) by the scaling-and-squaring Pade method of
+    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009); the
+    displacement is read off the augmented exponential
+    exp([[M, 1], [0, 0]] t), whose top-right block equals t * Phi(M t), so
+    no inversion of M is needed.  A zero Fbar gives S = 1 exactly.
     """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    # Imported here, not at module level: scipy.linalg roughly triples the
-    # package's start-up time, and only this function needs it.
-    from scipy.linalg import expm
-
     omega_inv = make_symplectic_form(h.n_modes).omega.T
     dim = 2 * h.n_modes
     m = omega_inv @ h.f_bar
@@ -170,11 +168,11 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
         aug = np.zeros((2 * dim, 2 * dim))
         aug[:dim, :dim] = m
         aug[:dim, dim:] = np.eye(dim)
-        e_aug = expm(aug * t)
+        e_aug = _expm(aug * t)
         s = e_aug[:dim, :dim]
         d = e_aug[:dim, dim:] @ (omega_inv @ h.alpha)
     else:
-        s = expm(m * t)
+        s = _expm(m * t)
         d = np.zeros(dim)
     if not np.all(np.isfinite(s)) or not np.all(np.isfinite(d)):
         raise ValueError("channel has non-finite entries (t too large for this Hamiltonian?)")

@@ -14,14 +14,13 @@ vacuum has unit covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from .errors import DimensionError, SelfCheckError, TruncationError
-from .symplectic import _symmetrized
+from .symplectic import _expm, _symmetrized
 
 COHERENT_TAIL_TOL = 1e-12
 SQUEEZED_TAIL_TOL = 1e-12
@@ -79,6 +78,35 @@ class FockDensity:
         object.__setattr__(self, "matrix", rho)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0, ..., n - 1."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n)])
+
+
+def _laguerre_ratios(n: int, x: float) -> np.ndarray:
+    """Associated Laguerre polynomials relative to their value at 0,
+    L_k^(a)(x) / C(k + a, k) for k, a = 0, ..., n - 1, as table[k, a].
+
+    The three-term recurrence in the degree k, written for the ratio p_k
+    and its increment d_k = p_k - p_{k-1}:
+
+        p_0 = 1,  d_1 = -x / (a + 1),
+        d_{k+1} = (k d_k - x p_k) / (k + a + 1),  p_{k+1} = p_k + d_{k+1}.
+
+    Unlike the recurrence for L itself, whose rounding errors grow like
+    k^2 eps at small x, this stays within a few eps of the unit-bounded
+    displacement-matrix elements for k, a <= 120 and x <= 30.
+    """
+    a = np.arange(n, dtype=float)
+    table = np.empty((n, n))
+    table[0] = 1.0
+    d = -x / (a + 1.0)
+    for k in range(1, n):
+        table[k] = table[k - 1] + d
+        d = (k * d - x * table[k]) / (k + a + 1.0)
+    return table
+
+
 def ladder(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Annihilation, creation and number matrices on a dim-level truncation.
 
@@ -115,7 +143,7 @@ def coherent_vector(alpha: complex, dim: int, tail_tol: float = COHERENT_TAIL_TO
         amp[0] = 1.0
         return FockState(amplitudes=amp, dim=dim, lost_mass=0.0)
     n = np.arange(dim)
-    log_mag = n * np.log(np.abs(alpha)) - 0.5 * gammaln(n + 1.0)
+    log_mag = n * np.log(np.abs(alpha)) - 0.5 * _log_factorials(dim)
     phase = np.exp(1j * n * np.angle(alpha))
     amp = np.exp(log_mag - 0.5 * abs(alpha) ** 2) * phase
     lost = 1.0 - float(np.sum(np.abs(amp) ** 2))
@@ -135,13 +163,17 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
         <n|D(eta)|m> = sqrt(lo!/(lo + l)!) e^{-x/2} L_lo^(l)(x)
                        * (eta^l if n >= m else (-eta*)^l),
 
-    where the n < m triangle follows from D(eta)^dag = D(-eta).  The
-    magnitude |eta|^l sqrt(lo!/(lo + l)!) e^{-x/2} is taken in log space
-    (exactly 0 for l > 0 at eta = 0).  Unlike the alternating finite sum
-    over ladder monomials, this does not cancel at large |eta| and dim.
+    where the n < m triangle follows from D(eta)^dag = D(-eta).  With
+    L_lo^(l) = C(lo + l, lo) p from :func:`_laguerre_ratios`, the
+    magnitude sqrt((lo + l)!/lo!) |eta|^l e^{-x/2} / l! multiplying p is
+    taken in log space (exactly 0 for l > 0 at eta = 0).  Unlike the
+    alternating finite sum over ladder monomials, this does not cancel at
+    large |eta| and dim.
     The result is cross-checked on the low block (n, m < dim/2) against
-    expm(eta a^dag - eta* a) built on a basis padded by 10 + 2|eta|^2
-    levels, a self-validating construction.
+    exp(eta a^dag - eta* a) built on a basis padded by 10 + 2|eta|^2
+    levels, a self-validating construction; the exponential is the
+    scaling-and-squaring Pade method of Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009).
 
     Raises:
         SelfCheckError: if the closed form and the exponential disagree
@@ -154,20 +186,21 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     m = np.arange(dim)[None, :]
     lo, ell = np.minimum(n, m), np.abs(n - m)
     x = abs(eta) ** 2
-    log_mag = xlogy(ell, abs(eta)) - 0.5 * x
-    log_mag = log_mag + 0.5 * (gammaln(lo + 1.0) - gammaln(lo + ell + 1.0))
+    # l log|eta|, with 0 log 0 = 0 on the diagonal
+    log_mag = ell * math.log(abs(eta)) if eta != 0 else np.where(ell == 0, 0.0, -np.inf)
+    log_fact = _log_factorials(dim)
+    log_mag = log_mag - 0.5 * x + 0.5 * (log_fact[lo + ell] - log_fact[lo]) - log_fact[ell]
     # eta^l = |eta|^l e^{i l arg eta} below the diagonal, (-eta*)^l above it
     phase = np.where(n < m, (-1.0) ** ell, 1.0) * np.exp(1j * (n - m) * np.angle(eta))
-    d = np.exp(log_mag) * eval_genlaguerre(lo, ell, x) * phase
+    d = np.exp(log_mag) * _laguerre_ratios(dim, x)[lo, ell] * phase
     # The exponential of the truncated generator is itself inexact near
     # the cut, and the error reaches the low block (1e-5 at dim 12,
     # |eta| ~ 1).  Padding the basis beyond the spread of D(eta)|n>, which
     # grows with |eta|^2, makes the reference exact to ~1e-15 (checked for
-    # dim <= 100).  For |eta| < 1 at dim 24 the padded size is at most 35,
-    # below 41, where OpenBLAS starts threading and expm gets ~30x slower.
+    # dim <= 100).
     pad = 10 + int(2.0 * x)
     a, adag, _ = ladder(dim + pad)
-    d_exp = expm(eta * adag - np.conj(eta) * a)
+    d_exp = _expm(eta * adag - np.conj(eta) * a)
     low = dim // 2
     dev = np.max(np.abs(d[:low, :low] - d_exp[:low, :low]))
     if dev > _DISPLACEMENT_SELF_CHECK_TOL and x < dim / 4:
@@ -194,11 +227,11 @@ def squeezed_vacuum_vector(
         return FockState(amplitudes=amp, dim=dim, lost_mass=0.0)
     n_pairs = (dim - 1) // 2
     n = np.arange(n_pairs + 1)
-    log_fact = gammaln(n + 1.0)
+    log_fact = _log_factorials(2 * n_pairs + 1)
     log_mag = (
-        0.5 * gammaln(2 * n + 1.0)
+        0.5 * log_fact[2 * n]
         - n * np.log(2.0)
-        - log_fact
+        - log_fact[n]
         + n * np.log(np.tanh(abs(r)))
         - 0.5 * np.log(np.cosh(r))
     )
@@ -299,17 +332,21 @@ def covariance_from_fock(obj: FockState | FockDensity) -> tuple[np.ndarray, np.n
     Returns:
         (mean, cov) as float arrays of shape (2n,) and (2n, 2n).
     """
-    if isinstance(obj, FockDensity) or obj.n_modes == 1:
-        dim = obj.dim
-        q, p = quadratures(dim)
-        ops = [q, p]
+    if isinstance(obj, FockDensity):
+        ops = quadratures(obj.dim)
         mean = np.array([_expect1(obj, op).real for op in ops])
-        cov = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                sym = _expect1(obj, ops[i] @ ops[j] + ops[j] @ ops[i]).real
-                cov[i, j] = sym - 2.0 * mean[i] * mean[j]
-        return mean, cov
+        sym = np.array([[_expect1(obj, a @ b + b @ a).real for b in ops] for a in ops])
+        return mean, sym - 2.0 * np.outer(mean, mean)
+    if obj.n_modes == 1:
+        # <X_i X_j + X_j X_i> = 2 Re <X_i psi|X_j psi> for Hermitian X_i, X_j,
+        # so only matrix-vector products are needed.  A dim x dim product
+        # (dim 60 and up) is large enough for OpenBLAS to thread, and its
+        # idle workers then spin on a second core long after the call.
+        v = obj.amplitudes
+        xv = np.array([op @ v for op in quadratures(obj.dim)])
+        mean = (v.conj() @ xv.T).real
+        gram = (xv.conj() @ xv.T).real
+        return mean, gram + gram.T - 2.0 * np.outer(mean, mean)
     if obj.n_modes != 2:
         raise DimensionError("covariance_from_fock supports one or two modes")
     dim = obj.dim

@@ -49,10 +49,10 @@ class GaussianState:
         if self.n_modes < 1:
             raise DimensionError(f"n_modes must be >= 1, got {self.n_modes}")
         dim = 2 * self.n_modes
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (dim,):
-            raise DimensionError(f"mean must have length {dim}, got {mean.shape}")
+            raise DimensionError(f"mean must have shape ({dim},), got {mean.shape}")
         _finite(mean, "mean")
         if cov.shape != (dim, dim):
             raise DimensionError(f"cov must be {dim}x{dim}, got {cov.shape}")

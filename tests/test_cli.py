@@ -249,6 +249,16 @@ class TestMalformedFiles:
         assert err.startswith("error: invalid state file")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("tag", ["qpqp", "qqpp"])
+    def test_two_dimensional_mean_refused_for_both_tags(self, tmp_path, capsys, tag):
+        path, out_path = tmp_path / "s.json", tmp_path / "o.json"
+        path.write_text(json.dumps({"n_modes": 1, "ordering": tag, "mean": [[0.0], [0.0]], "cov": self.E2}))
+        code, out, err = run(capsys, "williamson", str(path), "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "(2, 1)" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "content",
         [

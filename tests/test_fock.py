@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from gaussphase import (
     DimensionError,
@@ -132,8 +135,8 @@ class TestDisplacement:
     def test_self_check_rejects_inaccurate_closed_form(self, monkeypatch):
         # a reference that disagrees by 1e-6 stands in for a closed form
         # that is off by as much
-        exact_expm = fock.expm
-        monkeypatch.setattr(fock, "expm", lambda m: exact_expm(m) + 1e-6)
+        exact_expm = fock._expm
+        monkeypatch.setattr(fock, "_expm", lambda m: exact_expm(m) + 1e-6)
         with pytest.raises(SelfCheckError):
             fock.displacement_matrix(0.9 + 0.3j, 20)
 
@@ -264,6 +267,27 @@ class TestCovarianceFromFock:
         assert np.allclose(mean, 0.0, atol=1e-12)
         assert np.max(np.abs(cov - 2.0 * np.eye(2))) < 1e-10
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fock.squeezed_vacuum_vector(0.6, 1.1, 60),
+            lambda: fock.coherent_vector(0.8 - 0.5j, 40),
+            lambda: fock.FockState(amplitudes=np.exp(1j * np.arange(12)) / np.sqrt(12), dim=12),
+        ],
+    )
+    def test_pure_state_matches_its_density(self, make):
+        # the pure-state path uses matrix-vector products only; the density
+        # path forms <X_i X_j + X_j X_i> from the operator products
+        st = make()
+        mean, cov = fock.covariance_from_fock(st)
+        v = st.amplitudes
+        mean_rho, cov_rho = fock.covariance_from_fock(
+            fock.FockDensity(matrix=np.outer(v, v.conj()), dim=st.dim)
+        )
+        assert np.array_equal(cov, cov.T)
+        assert np.max(np.abs(mean - mean_rho)) < 1e-12
+        assert np.max(np.abs(cov - cov_rho)) < 1e-12
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_wigner_grid_second_moments(self, n):
         # cross-check: grid moments of the Fock Wigner function against the
@@ -298,3 +322,51 @@ class TestFockEntropy:
         d = 8
         rho = fock.FockDensity(matrix=np.eye(d) / d, dim=d)
         assert fock.fock_entropy(rho) == pytest.approx(np.log(d), abs=1e-12)
+
+
+# The special functions behind the closed forms are plain numpy; scipy.special
+# is their oracle here.
+
+
+def test_log_factorials_match_gammaln():
+    k = np.arange(241)
+    np.testing.assert_allclose(fock._log_factorials(241), gammaln(k + 1.0), rtol=2e-15, atol=0)
+
+
+def test_laguerre_ratios_are_exact_at_zero():
+    assert np.array_equal(fock._laguerre_ratios(121, 0.0), np.ones((121, 121)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(0.0, 30.0))
+@example(x=1e-3)
+@example(x=30.0)
+def test_laguerre_matches_eval_genlaguerre(x):
+    # Compared in units of a displacement-matrix element,
+    # sqrt(k!/(k+a)!) x^(a/2) e^(-x/2) L_k^(a)(x), which is at most 1 in
+    # magnitude; relative to L itself the comparison is meaningless near
+    # its zeros.  scipy's own error in these units reaches 2.6e-14 at x = 30.
+    n = 121
+    k, a = np.arange(n)[:, None], np.arange(n)[None, :]
+    binom = np.array([[float(math.comb(i + j, i)) for j in range(n)] for i in range(n)])
+    ours = binom * fock._laguerre_ratios(n, x)
+    ref = eval_genlaguerre(k, a, x)
+    weight = np.exp(0.5 * (gammaln(k + 1.0) - gammaln(k + a + 1.0)) + xlogy(0.5 * a, x) - 0.5 * x)
+    assert np.max(weight * np.abs(ours - ref)) <= 1e-13
+
+
+def scipy_displacement(eta, dim):
+    """The Laguerre closed form of :func:`fock.displacement_matrix` built
+    from scipy.special, as the library computed it before it dropped scipy."""
+    n, m = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    lo, ell = np.minimum(n, m), np.abs(n - m)
+    x = abs(eta) ** 2
+    log_mag = xlogy(ell, abs(eta)) - 0.5 * x + 0.5 * (gammaln(lo + 1.0) - gammaln(lo + ell + 1.0))
+    phase = np.where(n < m, (-1.0) ** ell, 1.0) * np.exp(1j * (n - m) * np.angle(eta))
+    return np.exp(log_mag) * eval_genlaguerre(lo, ell, x) * phase
+
+
+@pytest.mark.parametrize("eta, dim", [(0.9 + 0.3j, 24), (4.0, 80), (2 + 1j, 100)])
+def test_displacement_matches_scipy_closed_form(eta, dim):
+    dev = np.max(np.abs(fock.displacement_matrix(eta, dim) - scipy_displacement(eta, dim)))
+    assert dev <= 1e-13

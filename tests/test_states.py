@@ -41,6 +41,12 @@ def test_vacuum_zero_modes_rejected():
         vacuum(0)
 
 
+@pytest.mark.parametrize("mean", [[[0.0], [0.0]], [[0.0, 0.0]], 0.0])
+def test_mean_of_other_shape_rejected(mean):
+    with pytest.raises(DimensionError, match="mean must have shape"):
+        GaussianState(n_modes=1, mean=mean, cov=np.eye(2))
+
+
 def test_thermal_nu_one_is_vacuum():
     assert np.array_equal(thermal(1.0).cov, vacuum(1).cov)
 
