@@ -14,13 +14,15 @@ for bits; it is never guessed silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
 import numpy as np
 
 from .errors import NotPureError, UnphysicalStateError
-from .states import PHYSICALITY_TOL, PURITY_TOL, GaussianState, partial_trace, purity
+from .states import PHYSICALITY_TOL, GaussianState, partial_trace, purity
+from .symplectic import _finite
 
 LogBase = Literal["e", "2"]
 
@@ -82,7 +84,7 @@ def entanglement_entropy(
         IndexError: if the partition is empty, out of range, repeats a
             mode, or is the whole system.
     """
-    report = purity(state, tol=PURITY_TOL)
+    report = purity(state)
     if not report.is_pure:
         raise NotPureError(
             f"global state is mixed (purity {report.purity:.9f}); "
@@ -108,15 +110,21 @@ def tmsv_temperature(r: float, omega: float = 1.0) -> TmsvThermalParams:
     a two-mode squeezed vacuum, in units hbar = kB = 1.
 
     T = -omega / (2 log tanh r), Z = cosh^2 r; T -> 0 as r -> 0 (returned
-    exactly as zero at r = 0).
+    exactly as zero at r = 0).  For r >= 1, log tanh r is evaluated as
+    -2 artanh(e^-2r), since tanh r rounds to 1 from r ~ 19 on.
+
+    Raises:
+        ValueError: if r < 0, omega <= 0 or either is not finite.
     """
+    _finite(np.array([r, omega]), "(r, omega)")
     if r < 0:
         raise ValueError("r must be non-negative")
     if omega <= 0:
         raise ValueError("omega must be positive")
     if r == 0.0:
         return TmsvThermalParams(temperature=0.0, partition_function=1.0)
-    temperature = -omega / (2.0 * np.log(np.tanh(r)))
+    partition_function = math.cosh(r) ** 2  # OverflowError from r ~ 355.6 on
+    log_tanh = math.log(math.tanh(r)) if r < 1.0 else -2.0 * math.atanh(math.exp(-2.0 * r))
     return TmsvThermalParams(
-        temperature=float(temperature), partition_function=float(np.cosh(r) ** 2)
+        temperature=float(-omega / (2.0 * log_tanh)), partition_function=partition_function
     )

@@ -4,8 +4,10 @@ Everything here works directly with ladder-operator matrices on a
 truncated number basis, independently of the covariance-matrix machinery,
 so that every Gaussian-side claim can be cross-checked against explicit
 Hilbert-space arithmetic.  Truncation dimensions are caller supplied; the
-constructors verify the probability mass lost to the cutoff and fail
-loudly instead of silently renormalizing a bad truncation.
+constructors reject non-finite parameters, verify the probability mass
+lost to the cutoff against the ``*_TAIL_TOL`` constants and fail loudly
+instead of silently renormalizing a bad truncation.  Every moment comes
+from the one kernel :func:`_moments`.
 
 Quadratures are dimensionless, q = (a^dag + a)/sqrt(2),
 p = i (a^dag - a)/sqrt(2), matching the covariance convention where the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SelfCheckError, TruncationError
-from .symplectic import _expm, _symmetrized
+from .symplectic import _expm, _finite, _symmetrized
 
 COHERENT_TAIL_TOL = 1e-12
 SQUEEZED_TAIL_TOL = 1e-12
@@ -49,6 +51,7 @@ class FockState:
                 f"expected {expected} amplitudes for dim={self.dim}, "
                 f"n_modes={self.n_modes}, got {amp.shape}"
             )
+        _finite(amp, "amplitudes")
         norm = np.linalg.norm(amp)
         if norm == 0:
             raise ValueError("state vector is zero")
@@ -107,14 +110,18 @@ def _laguerre_ratios(n: int, x: float) -> np.ndarray:
     return table
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 2:
+        raise DimensionError(f"dim must be >= 2, got {dim}")
+
+
 def ladder(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Annihilation, creation and number matrices on a dim-level truncation.
 
     a|n> = sqrt(n)|n-1>; the commutator [a, a^dag] equals the identity
     except at the (dim-1, dim-1) entry, the unavoidable truncation artifact.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim)
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
     adag = a.conj().T
     number = np.diag(np.arange(dim, dtype=float)).astype(complex)
@@ -129,15 +136,16 @@ def quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-def coherent_vector(alpha: complex, dim: int, tail_tol: float = COHERENT_TAIL_TOL) -> FockState:
+def coherent_vector(alpha: complex, dim: int) -> FockState:
     """Coherent state |alpha> = e^{-|alpha|^2/2} sum alpha^n/sqrt(n!) |n>.
 
     Raises:
+        ValueError: if ``alpha`` is not finite.
         TruncationError: if the truncated expansion loses more than
-            ``tail_tol`` probability mass.
+            ``COHERENT_TAIL_TOL`` probability mass.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim)
+    _finite(alpha, "alpha")
     if alpha == 0:
         amp = np.zeros(dim, dtype=complex)
         amp[0] = 1.0
@@ -147,7 +155,7 @@ def coherent_vector(alpha: complex, dim: int, tail_tol: float = COHERENT_TAIL_TO
     phase = np.exp(1j * n * np.angle(alpha))
     amp = np.exp(log_mag - 0.5 * abs(alpha) ** 2) * phase
     lost = 1.0 - float(np.sum(np.abs(amp) ** 2))
-    if lost > tail_tol:
+    if lost > COHERENT_TAIL_TOL:
         raise TruncationError(
             f"coherent state with |alpha|={abs(alpha):.3g} loses {lost:.3e} mass at dim={dim}"
         )
@@ -176,12 +184,13 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     Anal. Appl. 31, 970 (2009).
 
     Raises:
+        ValueError: if ``eta`` is not finite.
         SelfCheckError: if the closed form and the exponential disagree
             on the low block by more than 1e-9 (checked for
             |eta|^2 < dim/4).
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim)
+    _finite(eta, "eta")
     n = np.arange(dim)[:, None]
     m = np.arange(dim)[None, :]
     lo, ell = np.minimum(n, m), np.abs(n - m)
@@ -210,17 +219,20 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     return d
 
 
-def squeezed_vacuum_vector(
-    r: float, theta: float = 0.0, dim: int = 60, tail_tol: float = SQUEEZED_TAIL_TOL
-) -> FockState:
+def squeezed_vacuum_vector(r: float, theta: float = 0.0, dim: int = 60) -> FockState:
     """Single-mode squeezed vacuum in the Fock basis.
 
     Only even levels are populated:
     C_{2n} = (1/sqrt(cosh r)) (sqrt((2n)!)/(2^n n!)) (-e^{i theta} tanh r)^n,
     and the odd amplitudes are exactly zero.
+
+    Raises:
+        ValueError: if ``r`` or ``theta`` is not finite.
+        TruncationError: if the truncated expansion loses more than
+            ``SQUEEZED_TAIL_TOL`` probability mass.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim)
+    _finite(np.array([r, theta]), "squeezing (r, theta)")
     amp = np.zeros(dim, dtype=complex)
     if r == 0.0:
         amp[0] = 1.0
@@ -238,16 +250,14 @@ def squeezed_vacuum_vector(
     base = -np.exp(1j * theta) * np.sign(np.tanh(r))  # unit phase of -e^{i theta} tanh r
     amp[2 * n] = np.exp(log_mag) * base**n
     lost = 1.0 - float(np.sum(np.abs(amp) ** 2))
-    if lost > tail_tol:
+    if lost > SQUEEZED_TAIL_TOL:
         raise TruncationError(
             f"squeezed vacuum with r={r:.3g} loses {lost:.3e} mass at dim={dim}"
         )
     return FockState(amplitudes=amp, dim=dim, lost_mass=max(lost, 0.0))
 
 
-def tmsv_vector(
-    r: float, theta: float = 0.0, dim: int = 40, tail_tol: float = TMSV_TAIL_TOL
-) -> FockState:
+def tmsv_vector(r: float, theta: float = 0.0, dim: int = 40) -> FockState:
     """Two-mode squeezed vacuum: (1/cosh r) sum (-e^{i theta} tanh r)^n |n,n>.
 
     Excitations happen strictly in pairs, so the state is Schmidt diagonal.
@@ -257,14 +267,15 @@ def tmsv_vector(
     ``tmsv_vector(r/2)`` (see README on the factor-of-two convention).
 
     Raises:
-        TruncationError: if tanh(r)^(2 dim) exceeds ``tail_tol``.
+        ValueError: if ``r`` or ``theta`` is not finite.
+        TruncationError: if tanh(r)^(2 dim) exceeds ``TMSV_TAIL_TOL``.
     """
-    if dim < 2:
-        raise DimensionError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim)
+    _finite(np.array([r, theta]), "squeezing (r, theta)")
     tail = np.tanh(abs(r)) ** (2 * dim)
-    if tail > tail_tol:
+    if tail > TMSV_TAIL_TOL:
         raise TruncationError(
-            f"tmsv with r={r:.3g} has tail weight {tail:.3e} > {tail_tol:.1e} at dim={dim}"
+            f"tmsv with r={r:.3g} has tail weight {tail:.3e} > {TMSV_TAIL_TOL:.1e} at dim={dim}"
         )
     n = np.arange(dim)
     coeff = (-np.exp(1j * theta) * np.tanh(r)) ** n / np.cosh(r)
@@ -275,16 +286,18 @@ def tmsv_vector(
 
 
 def thermal_density(nbar: float, dim: int) -> FockDensity:
-    """Geometric (thermal) density matrix with mean occupation nbar."""
+    """Geometric (thermal) density matrix with mean occupation nbar.
+
+    Raises:
+        ValueError: if ``nbar`` is negative or not finite.
+    """
+    _check_dim(dim)
+    _finite(nbar, "nbar")
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
-    if nbar == 0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-    else:
-        x = nbar / (1.0 + nbar)
-        p = (1.0 - x) * x ** np.arange(dim)
-        p = p / p.sum()  # renormalize the truncated geometric series
+    x = nbar / (1.0 + nbar)
+    p = (1.0 - x) * x ** np.arange(dim)  # 0^0 = 1 gives the vacuum at nbar = 0
+    p = p / p.sum()  # renormalize the truncated geometric series
     return FockDensity(matrix=np.diag(p).astype(complex), dim=dim)
 
 
@@ -308,69 +321,57 @@ def reduced_density(state: FockState, keep: int = 0) -> FockDensity:
     return FockDensity(matrix=rho, dim=state.dim)
 
 
-def _expect1(obj: FockState | FockDensity, op: np.ndarray) -> complex:
+def _moments(
+    obj: FockState | FockDensity, ops: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means <A_j> and Gram matrix <A_i^dag A_j>, where A_j runs over
+    ``ops`` on mode 0, then on mode 1 (pairwise order); <X, Y> = vdot(X, Y).
+
+    A_j acts along its mode's axis of a pure state's amplitudes Psi, of
+    shape (dim,) or (dim, dim): <A_j> = <Psi, A_j Psi> and <A_i^dag A_j> =
+    <A_i Psi, A_j Psi>: one mode needs only matrix-vector products (a dim-60
+    matrix product leaves an OpenBLAS worker spinning on a second core).  A
+    density matrix gives <A_j> = <1, A_j rho>, <A_i^dag A_j> = <A_i, A_j rho>.
+    """
     if isinstance(obj, FockDensity):
-        return complex(np.trace(obj.matrix @ op))
-    v = obj.amplitudes
-    return complex(v.conj() @ (op @ v))
-
-
-def _expect2(state: FockState, op1: np.ndarray, op2: np.ndarray) -> complex:
-    """<psi| op1 (x) op2 |psi> for a two-mode pure state, without forming
-    the dim^2 x dim^2 Kronecker product."""
-    psi = state.amplitudes.reshape(state.dim, state.dim)
-    return complex(np.sum(psi.conj() * (op1 @ psi @ op2.T)))
+        n_modes, ket, bra = 1, obj.matrix, np.eye(obj.dim)
+    else:
+        n_modes = obj.n_modes
+        if n_modes > 2:
+            raise DimensionError("the Fock oracle supports one or two modes")
+        ket = bra = obj.amplitudes.reshape((obj.dim,) * n_modes)
+    pairs = [(op, mode) for mode in range(n_modes) for op in ops]
+    right = np.array([op @ ket if mode == 0 else ket @ op.T for op, mode in pairs])
+    # the left factors A_i bra are A_i itself for a density matrix (bra = 1)
+    left = right if bra is ket else np.array(ops)
+    right = right.reshape(len(pairs), -1)
+    mean = right @ bra.reshape(-1).conj()
+    gram = left.reshape(len(pairs), -1).conj() @ right.T
+    return mean, gram
 
 
 def covariance_from_fock(obj: FockState | FockDensity) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix from Fock-space expectations.
 
     Uses the dimensionless quadratures and the convention
-    sigma_ij = <X_i X_j + X_j X_i> - 2 <X_i><X_j> (vacuum -> identity).
-    Two-mode pure states are returned in pairwise order.
+    sigma_ij = <X_i X_j + X_j X_i> - 2 <X_i><X_j> (vacuum -> identity);
+    for Hermitian X_i the symmetrized moment is G_ij + G_ji with the real
+    part G of the Gram matrix <X_i X_j>, so the result is exactly
+    symmetric.  Two-mode pure states are returned in pairwise order.
 
     Returns:
         (mean, cov) as float arrays of shape (2n,) and (2n, 2n).
     """
-    if isinstance(obj, FockDensity):
-        ops = quadratures(obj.dim)
-        mean = np.array([_expect1(obj, op).real for op in ops])
-        sym = np.array([[_expect1(obj, a @ b + b @ a).real for b in ops] for a in ops])
-        return mean, sym - 2.0 * np.outer(mean, mean)
-    if obj.n_modes == 1:
-        # <X_i X_j + X_j X_i> = 2 Re <X_i psi|X_j psi> for Hermitian X_i, X_j,
-        # so only matrix-vector products are needed.  A dim x dim product
-        # (dim 60 and up) is large enough for OpenBLAS to thread, and its
-        # idle workers then spin on a second core long after the call.
-        v = obj.amplitudes
-        xv = np.array([op @ v for op in quadratures(obj.dim)])
-        mean = (v.conj() @ xv.T).real
-        gram = (xv.conj() @ xv.T).real
-        return mean, gram + gram.T - 2.0 * np.outer(mean, mean)
-    if obj.n_modes != 2:
-        raise DimensionError("covariance_from_fock supports one or two modes")
-    dim = obj.dim
-    q, p = quadratures(dim)
-    eye = np.eye(dim, dtype=complex)
-    # pairwise order (q1, p1, q2, p2); each entry is a (mode-1 op, mode-2 op) pair
-    ops = [(q, eye), (p, eye), (eye, q), (eye, p)]
-    mean = np.array([_expect2(obj, o1, o2).real for o1, o2 in ops])
-    cov = np.empty((4, 4))
-    for i, (a1, a2) in enumerate(ops):
-        for j, (b1, b2) in enumerate(ops):
-            sym = (_expect2(obj, a1 @ b1, a2 @ b2) + _expect2(obj, b1 @ a1, b2 @ a2)).real
-            cov[i, j] = sym - 2.0 * mean[i] * mean[j]
-    return mean, cov
+    mean, gram = _moments(obj, quadratures(obj.dim))
+    mean, gram = mean.real, gram.real
+    return mean, gram + gram.T - 2.0 * np.outer(mean, mean)
 
 
 def number_expectation(obj: FockState | FockDensity) -> float:
     """<n> for a single-mode state, or total <n1 + n2> for two modes."""
-    if isinstance(obj, FockDensity) or obj.n_modes == 1:
-        _, _, num = ladder(obj.dim)
-        return _expect1(obj, num).real
-    _, _, num = ladder(obj.dim)
-    eye = np.eye(obj.dim, dtype=complex)
-    return (_expect2(obj, num, eye) + _expect2(obj, eye, num)).real
+    a, _, _ = ladder(obj.dim)
+    _, gram = _moments(obj, (a,))
+    return float(np.trace(gram).real)
 
 
 def fock_entropy(rho: FockDensity) -> float:

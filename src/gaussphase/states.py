@@ -228,7 +228,7 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     return _trusted_state(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
-def purity(state: GaussianState, tol: float = PURITY_TOL) -> PurityReport:
+def purity(state: GaussianState) -> PurityReport:
     """Purity 1 / prod(nu_i) = 1 / sqrt(det sigma).
 
     The determinant comes from a Cholesky factor sigma = L L^T as
@@ -243,15 +243,15 @@ def purity(state: GaussianState, tol: float = PURITY_TOL) -> PurityReport:
     except np.linalg.LinAlgError:
         raise UnphysicalStateError("covariance matrix is not positive definite") from None
     p = float(np.exp(-np.sum(np.log(np.diagonal(chol)))))
-    return PurityReport(purity=p, is_pure=abs(p - 1.0) <= tol)
+    return PurityReport(purity=p, is_pure=abs(p - 1.0) <= PURITY_TOL)
 
 
-def physicality_check(state: GaussianState, tol: float = PHYSICALITY_TOL) -> PhysicalityReport:
+def physicality_check(state: GaussianState) -> PhysicalityReport:
     """Checks the uncertainty relation sigma + i Omega^-1 >= 0 in its
     equivalent form (Williamson's theorem): every symplectic eigenvalue
-    nu_i >= 1, accepted when nu_min >= 1 - tol."""
+    nu_i >= 1, accepted when nu_min >= 1 - PHYSICALITY_TOL."""
     nu_min = float(state.symplectic_spectrum()[0])
-    return PhysicalityReport(min_symplectic_eigenvalue=nu_min, ok=nu_min >= 1.0 - tol)
+    return PhysicalityReport(min_symplectic_eigenvalue=nu_min, ok=nu_min >= 1.0 - PHYSICALITY_TOL)
 
 
 def gaussian_wigner_params(state: GaussianState) -> GaussianWignerParams:

@@ -83,27 +83,22 @@ class SymplecticCheck(NamedTuple):
     residual: float
 
 
-def check_symplectic(
-    m: np.ndarray,
-    form: SymplecticForm | None = None,
-    tol: float = DEFAULT_SYMPLECTIC_TOL,
-) -> SymplecticCheck:
+def check_symplectic(m: np.ndarray, form: SymplecticForm | None = None) -> SymplecticCheck:
     """Tests whether a matrix preserves the symplectic form.
 
     Computes the max-norm residual || m Omega^-1 m^T - Omega^-1 || and
-    accepts it up to ``tol * max(1, max(|m| |Omega^-1| |m|^T))``: the
-    rounding error of each entry of the product grows with the size of the
-    terms summed into it, so a strongly squeezing matrix is judged relative
-    to those terms, while a matrix whose large entries cancel in no term
-    (such as diag(1e5, 5e-6)) is still judged on the absolute scale.  The
-    residual is always returned so callers can report it even on failure.
+    accepts it up to ``tol * max(1, max(|m| |Omega^-1| |m|^T))`` with
+    ``tol = DEFAULT_SYMPLECTIC_TOL``: the rounding error of each entry of
+    the product grows with the size of the terms summed into it, so a
+    strongly squeezing matrix is judged relative to those terms, while a
+    matrix whose large entries cancel in no term (such as diag(1e5, 5e-6))
+    is still judged on the absolute scale.  The residual is always
+    returned so callers can report it even on failure.
 
     Args:
         m: real square matrix of even dimension 2n.
         form: symplectic form to test against; built on the fly from the
             matrix dimension when omitted.
-        tol: acceptance threshold for the residual, relative to the
-            largest entry of |m| |Omega^-1| |m|^T when that exceeds 1.
 
     Returns:
         SymplecticCheck(ok, residual).
@@ -122,6 +117,7 @@ def check_symplectic(
     residual = float(np.max(np.abs(m_omega_inv @ m.T - omega_inv)))
     # Omega^-1 is a signed permutation, so |m Omega^-1| = |m| |Omega^-1|;
     # the scale is formed only when the absolute bound is exceeded
+    tol = DEFAULT_SYMPLECTIC_TOL
     ok = residual <= tol or residual <= tol * float(np.max(np.abs(m_omega_inv) @ np.abs(m).T))
     return SymplecticCheck(ok, residual)
 

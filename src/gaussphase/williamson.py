@@ -83,23 +83,19 @@ def _core(
     return f, form, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
 
 
-def _nu_from_iy(lam: np.ndarray, tol: float) -> np.ndarray:
+def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
     """Symplectic spectrum from the ascending eigenvalues of iY, which come
     in pairs -1/nu_k, +1/nu_k; the lower half gives nu ascending."""
     n = lam.size // 2
     low, high = lam[:n], lam[n:][::-1]
-    if low[-1] >= 0 or np.max(np.abs(low + high)) > tol * np.max(np.abs(lam)):
+    if low[-1] >= 0 or np.max(np.abs(low + high)) > DEFAULT_WILLIAMSON_TOL * np.max(np.abs(lam)):
         raise ValueError(
             "eigenvalues of iY do not pair up as -1/nu, +1/nu; numerically degenerate input"
         )
     return -1.0 / low
 
 
-def symplectic_spectrum(
-    f: np.ndarray,
-    form: SymplecticForm | None = None,
-    tol: float = DEFAULT_WILLIAMSON_TOL,
-) -> np.ndarray:
+def symplectic_spectrum(f: np.ndarray, form: SymplecticForm | None = None) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive definite matrix.
 
     The eigenvalues of F Omega^-1 are +/- i*nu_i; they are read off the
@@ -108,11 +104,11 @@ def symplectic_spectrum(
 
     Raises:
         ValueError: if ``f`` is not symmetric positive definite, or if the
-            eigenvalues of iY fail to pair up within tol * max|1/nu|
-            (numerical degeneracy).
+            eigenvalues of iY fail to pair up within
+            DEFAULT_WILLIAMSON_TOL * max|1/nu| (numerical degeneracy).
     """
     _, _, _, y = _core(f, form)
-    return _nu_from_iy(np.linalg.eigvalsh(1j * y), tol)
+    return _nu_from_iy(np.linalg.eigvalsh(1j * y))
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
 
 
 def williamson_decompose(
-    f: np.ndarray,
-    form: SymplecticForm | None = None,
-    tol: float = DEFAULT_WILLIAMSON_TOL,
+    f: np.ndarray, form: SymplecticForm | None = None
 ) -> WilliamsonDecomposition:
     """Symplectically diagonalizes a symmetric positive definite matrix.
 
@@ -162,7 +156,7 @@ def williamson_decompose(
     f, form, f_inv_sqrt, y = _core(f, form)
     n = form.n_modes
     lam, vecs = np.linalg.eigh(1j * y)
-    nu = _nu_from_iy(lam, tol)
+    nu = _nu_from_iy(lam)
     v = _phase_fix(vecs[:, :n])
 
     scale = np.sqrt(2.0 * nu)[:, None]

@@ -175,3 +175,20 @@ class TestTmsvTemperature:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             tmsv_temperature(-0.1)
+
+    @pytest.mark.parametrize("r", [3.0, 5.0, 10.0, 15.0, 19.0, 25.0, 30.0])
+    def test_large_r_matches_artanh_series(self, r):
+        # T = omega / (4 artanh u) with u = e^-2r; the series of artanh to
+        # u^5 leaves a relative remainder below u^6/7 < 4e-17 from r = 3 on.
+        # tanh r rounds to 1 from r ~ 19 on, so log tanh r cannot be used.
+        omega = 2.5
+        u = np.exp(-2.0 * r)
+        expected = omega / (4.0 * u * (1.0 + u**2 / 3.0 + u**4 / 5.0))
+        assert tmsv_temperature(r, omega).temperature == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "r, omega", [(np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)]
+    )
+    def test_non_finite_input_rejected(self, r, omega):
+        with pytest.raises(ValueError, match="non-finite"):
+            tmsv_temperature(r, omega)

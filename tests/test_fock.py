@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import eval_genlaguerre, gammaln, xlogy
 
 from gaussphase import (
@@ -276,8 +277,8 @@ class TestCovarianceFromFock:
         ],
     )
     def test_pure_state_matches_its_density(self, make):
-        # the pure-state path uses matrix-vector products only; the density
-        # path forms <X_i X_j + X_j X_i> from the operator products
+        # the one moment kernel pairs X_i psi with X_j psi for the state and
+        # X_i with X_j rho for its density matrix
         st = make()
         mean, cov = fock.covariance_from_fock(st)
         v = st.amplitudes
@@ -305,6 +306,98 @@ class TestCovarianceFromFock:
         assert abs(2.0 * wq2 - cov[0, 0]) < 1e-4
         assert abs(2.0 * wp2 - cov[1, 1]) < 1e-4
         assert abs(2.0 * wqp - cov[0, 1]) < 1e-4
+
+
+def dense_moments(rho, dim, n_modes):
+    """Reference moments from the density matrix on the full n_modes-mode
+    space, with each single-mode operator embedded by np.kron (the first
+    mode is the slow index): the mean, the covariance in pairwise order
+    and the total occupation."""
+    q, p = fock.quadratures(dim)
+    _, _, num = fock.ladder(dim)
+    eye = np.eye(dim)
+
+    def embed(op, mode):
+        return op if n_modes == 1 else np.kron(op, eye) if mode == 0 else np.kron(eye, op)
+
+    def expect(op):
+        return np.trace(rho @ op).real
+
+    xs = [embed(op, mode) for mode in range(n_modes) for op in (q, p)]
+    mean = np.array([expect(x) for x in xs])
+    sym = np.array([[expect(xi @ xj + xj @ xi) for xj in xs] for xi in xs])
+    n_total = sum(expect(embed(num, mode)) for mode in range(n_modes))
+    return mean, sym - 2.0 * np.outer(mean, mean), n_total
+
+
+def complex_arrays(shape):
+    parts = arrays(np.float64, (2,) + shape, elements=st.floats(-1.0, 1.0))
+    return parts.map(lambda a: a[0] + 1j * a[1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dim=st.integers(2, 8))
+def test_two_mode_moments_match_dense_reference(data, dim):
+    # a generic amplitude matrix: unlike the TMSV, it is not diagonal and
+    # has all four means nonzero, so acting on the wrong axis, or with op
+    # in place of op.T on the second mode, changes the result
+    psi = data.draw(complex_arrays((dim, dim)))
+    norm = np.linalg.norm(psi)
+    assume(norm > 0.1)
+    psi = psi / norm
+    assume(np.max(np.abs(psi - np.diag(np.diag(psi)))) > 1e-2)
+    v = psi.reshape(-1)
+    mean_ref, cov_ref, n_ref = dense_moments(np.outer(v, v.conj()), dim, 2)
+    assume(np.min(np.abs(mean_ref)) > 1e-3)
+    st2 = fock.FockState(amplitudes=v, dim=dim, n_modes=2)
+    mean, cov = fock.covariance_from_fock(st2)
+    assert np.max(np.abs(mean - mean_ref)) < 1e-12
+    assert np.max(np.abs(cov - cov_ref)) < 1e-12
+    assert abs(fock.number_expectation(st2) - n_ref) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dim=st.integers(2, 8), rank=st.integers(1, 8))
+def test_density_moments_match_dense_reference(data, dim, rank):
+    g = data.draw(complex_arrays((dim, rank)))
+    rho = g @ g.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-2)
+    rho = fock.FockDensity(matrix=rho / trace, dim=dim)
+    mean_ref, cov_ref, n_ref = dense_moments(rho.matrix, dim, 1)
+    mean, cov = fock.covariance_from_fock(rho)
+    assert np.max(np.abs(mean - mean_ref)) < 1e-12
+    assert np.max(np.abs(cov - cov_ref)) < 1e-12
+    assert abs(fock.number_expectation(rho) - n_ref) < 1e-12
+
+
+def test_three_mode_state_refused():
+    st3 = fock.FockState(amplitudes=np.eye(8)[0], dim=2, n_modes=3)
+    with pytest.raises(DimensionError):
+        fock.covariance_from_fock(st3)
+
+
+@pytest.mark.parametrize(
+    "build, args, error",
+    [
+        (fock.coherent_vector, (np.nan, 10), ValueError),
+        (fock.displacement_matrix, (np.nan, 10), ValueError),
+        (fock.displacement_matrix, (np.inf * 1j, 10), ValueError),
+        (fock.squeezed_vacuum_vector, (np.nan, 0.0, 10), ValueError),
+        (fock.squeezed_vacuum_vector, (0.3, np.nan, 40), ValueError),
+        (fock.tmsv_vector, (np.nan, 0.0, 10), ValueError),
+        (fock.tmsv_vector, (0.3, np.nan, 40), ValueError),
+        (fock.thermal_density, (np.nan, 10), ValueError),
+        (fock.thermal_density, (0.5, 0), DimensionError),
+        (fock.thermal_density, (0.5, 1), DimensionError),
+        (fock.FockState, ([1.0, np.nan], 2), ValueError),
+    ],
+)
+def test_builders_reject_bad_input(build, args, error):
+    # a NaN parameter passes every tail check (NaN > tol is False), so it
+    # is refused on entry instead of yielding an all-NaN state
+    with pytest.raises(error, match="non-finite" if error is ValueError else "dim"):
+        build(*args)
 
 
 class TestFockEntropy:
