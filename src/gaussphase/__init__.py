@@ -14,6 +14,7 @@ from .dynamics import (
     evolve_ode,
     generate_channel,
     ladder_to_quadrature,
+    normal_mode_ground_state,
     rotation_hamiltonian,
     squeeze_hamiltonian,
     two_mode_squeeze_hamiltonian,
@@ -70,7 +71,6 @@ from .wigner import (
 )
 from .williamson import (
     WilliamsonDecomposition,
-    normal_mode_ground_state,
     symplectic_spectrum,
     williamson_decompose,
 )

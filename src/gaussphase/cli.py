@@ -311,7 +311,7 @@ def cmd_coupled_example(args) -> dict:
     )
     spectrum = williamson.symplectic_spectrum(f)
     ham = dynamics.QuadraticHamiltonian(n_modes=2, f_bar=f)
-    ground = williamson.normal_mode_ground_state(ham)
+    ground = dynamics.normal_mode_ground_state(ham)
     reduced = states.partial_trace(ground, [0])
     nu_reduced = float(reduced.symplectic_spectrum()[0])
     s_e = entropy.entanglement_entropy(ground, [0], args.base)

@@ -21,9 +21,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NoGroundStateError, NotPositiveDefiniteError
 from .states import GaussianState, _trusted_state
-from .symplectic import _expm, _finite, _symmetrized, check_symplectic, make_symplectic_form
+from .symplectic import (
+    _checked, _expm, _finite, _n_modes, _symmetrized, check_symplectic, make_symplectic_form
+)
+from .williamson import williamson_decompose
 
 
 @dataclass(frozen=True)
@@ -36,18 +39,46 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         dim = 2 * self.n_modes
-        f = np.asarray(self.f_bar, dtype=float)
-        if f.shape != (dim, dim):
-            raise DimensionError(f"f_bar must be {dim}x{dim}, got {f.shape}")
-        f = _symmetrized(f, "f_bar")
-        a = np.zeros(dim) if self.alpha is None else np.asarray(self.alpha, dtype=float)
-        if a.shape != (dim,):
-            raise DimensionError(f"alpha must have length {dim}, got {a.shape}")
-        _finite(a, "alpha")
+        f = _symmetrized(_checked(self.f_bar, "f_bar", (dim, dim)), "f_bar")
+        a = _checked(np.zeros(dim) if self.alpha is None else self.alpha, "alpha", (dim,))
         f.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "f_bar", f)
         object.__setattr__(self, "alpha", a)
+
+
+def normal_mode_ground_state(hamiltonian: QuadraticHamiltonian) -> GaussianState:
+    """Ground state of a positive definite quadratic Hamiltonian.
+
+    Symplectically diagonalizes the Hamiltonian matrix into decoupled
+    normal modes, places each in its ground state, and maps the covariance
+    back to the original modes.  The two steps collapse to
+
+        sigma = Sigma^T Sigma,
+
+    with Sigma the Williamson diagonalizer of the Hamiltonian matrix.
+
+    Args:
+        hamiltonian: its linear part is ignored; a linear term only
+            displaces the ground state's mean.
+
+    Returns:
+        GaussianState of the ground state (pure, mean zero).
+
+    Raises:
+        NoGroundStateError: if the Hamiltonian matrix is not positive
+            definite (no normalizable ground state exists).
+    """
+    try:
+        dec = williamson_decompose(hamiltonian.f_bar)
+    except NotPositiveDefiniteError as exc:
+        raise NoGroundStateError(
+            "Hamiltonian matrix is not positive definite "
+            f"(min eigenvalue {exc.min_eigenvalue:.3e})"
+        ) from None
+    cov = dec.sigma.T @ dec.sigma
+    mean = np.zeros(2 * hamiltonian.n_modes)
+    return GaussianState(n_modes=hamiltonian.n_modes, mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -60,11 +91,8 @@ class LadderHamiltonian:
 
     def __post_init__(self):
         n = self.n_modes
-        w = np.asarray(self.w, dtype=complex)
-        g = np.asarray(self.g, dtype=complex)
-        if w.shape != (n, n) or g.shape != (n, n):
-            raise DimensionError(f"w and g must be {n}x{n}, got {w.shape} and {g.shape}")
-        w = _symmetrized(w, "w")
+        w = _symmetrized(_checked(self.w, "w", (n, n), complex), "w")
+        g = _checked(self.g, "g", (n, n), complex)
         w.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -79,12 +107,9 @@ class GaussianChannel:
     d: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 != 0:
-            raise DimensionError(f"s must be square with even dimension, got {s.shape}")
-        if d.shape != (s.shape[0],):
-            raise DimensionError(f"d must have length {s.shape[0]}, got {d.shape}")
+        dim = 2 * _n_modes(self.s, "s")
+        s = _checked(self.s, "s", (dim, dim))
+        d = _checked(self.d, "d", (dim,))
         ok, residual = check_symplectic(s)
         if not ok:
             raise ValueError(f"s is not symplectic (residual {residual:.3e})")
@@ -104,11 +129,9 @@ def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
     With A = W + G + G^dag, B = W - G - G^dag and X = i (W - G + G^dag),
     the quadrature form is the real part of the Hermitian matrix with
     q-q block A, q-p block X, p-q block X^dag and p-p block B, filled
-    directly in pairwise order.
-
-    Raises:
-        ValueError: if the assembled matrix is not Hermitian within
-            tolerance.
+    directly in pairwise order.  W is Hermitian, so the real part is
+    symmetric up to the rounding of the block sums, which
+    :class:`QuadraticHamiltonian` symmetrizes away.
     """
     w, g = h.w, h.g
     gdag = g.conj().T
@@ -121,8 +144,7 @@ def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
     f[0::2, 1::2] = x_blk
     f[1::2, 0::2] = x_blk.conj().T
     f[1::2, 1::2] = b_blk
-    f_bar = _symmetrized(f, "assembled quadrature form").real
-    return QuadraticHamiltonian(n_modes=n, f_bar=f_bar)
+    return QuadraticHamiltonian(n_modes=n, f_bar=f.real)
 
 
 def squeeze_hamiltonian(r: float, theta: float = 0.0) -> QuadraticHamiltonian:
@@ -158,9 +180,10 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     displacement is read off the augmented exponential
     exp([[M, 1], [0, 0]] t), whose top-right block equals t * Phi(M t), so
     no inversion of M is needed.  A zero Fbar gives S = 1 exactly.
+    A non-finite ``t``, or one so large that the exponential overflows,
+    raises ValueError.
     """
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    _finite(t, "t")
     omega_inv = make_symplectic_form(h.n_modes).omega.T
     dim = 2 * h.n_modes
     m = omega_inv @ h.f_bar
@@ -174,8 +197,6 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     else:
         s = _expm(m * t)
         d = np.zeros(dim)
-    if not np.all(np.isfinite(s)) or not np.all(np.isfinite(d)):
-        raise ValueError("channel has non-finite entries (t too large for this Hamiltonian?)")
     return GaussianChannel(s=s, d=d)
 
 

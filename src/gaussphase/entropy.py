@@ -81,8 +81,8 @@ def entanglement_entropy(
     Raises:
         NotPureError: if the global state is mixed; the quantity is then
             not an entanglement measure and is refused rather than returned.
-        IndexError: if the partition is empty, out of range, repeats a
-            mode, or is the whole system.
+        IndexError: if the partition is empty, out of range or repeats a
+            mode (refused by :func:`partial_trace`), or is the whole system.
     """
     report = purity(state)
     if not report.is_pure:
@@ -90,12 +90,9 @@ def entanglement_entropy(
             f"global state is mixed (purity {report.purity:.9f}); "
             "entanglement entropy is undefined"
         )
-    partition = sorted(partition)
-    if len(set(partition)) != len(partition):
-        raise IndexError("partition contains duplicate mode indices")
-    if len(partition) >= state.n_modes:
-        raise IndexError("partition must be a proper subset of the modes")
     reduced = partial_trace(state, partition)
+    if reduced.n_modes == state.n_modes:
+        raise IndexError("partition must be a proper subset of the modes")
     return von_neumann_entropy(reduced, log_base)
 
 

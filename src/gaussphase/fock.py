@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SelfCheckError, TruncationError
-from .symplectic import _expm, _finite, _symmetrized
+from .symplectic import _checked, _expm, _finite, _symmetrized
 
 COHERENT_TAIL_TOL = 1e-12
 SQUEEZED_TAIL_TOL = 1e-12
 TMSV_TAIL_TOL = 1e-14
+THERMAL_TAIL_TOL = 1e-12
 _DISPLACEMENT_SELF_CHECK_TOL = 1e-9
 
 
@@ -44,14 +45,8 @@ class FockState:
     lost_mass: float = 0.0
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        expected = self.dim**self.n_modes
-        if amp.shape != (expected,):
-            raise DimensionError(
-                f"expected {expected} amplitudes for dim={self.dim}, "
-                f"n_modes={self.n_modes}, got {amp.shape}"
-            )
-        _finite(amp, "amplitudes")
+        amp = np.reshape(self.amplitudes, -1)
+        amp = _checked(amp, "amplitudes", (self.dim**self.n_modes,), complex)
         norm = np.linalg.norm(amp)
         if norm == 0:
             raise ValueError("state vector is zero")
@@ -68,9 +63,7 @@ class FockDensity:
     dim: int
 
     def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DimensionError(f"expected {self.dim}x{self.dim} matrix, got {rho.shape}")
+        rho = _checked(self.matrix, "density matrix", (self.dim, self.dim), complex)
         rho = _symmetrized(rho, "density matrix")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-10:
@@ -151,9 +144,12 @@ def coherent_vector(alpha: complex, dim: int) -> FockState:
         amp[0] = 1.0
         return FockState(amplitudes=amp, dim=dim, lost_mass=0.0)
     n = np.arange(dim)
-    log_mag = n * np.log(np.abs(alpha)) - 0.5 * _log_factorials(dim)
+    mag = abs(alpha)
+    log_mag = n * np.log(mag) - 0.5 * _log_factorials(dim)
     phase = np.exp(1j * n * np.angle(alpha))
-    amp = np.exp(log_mag - 0.5 * abs(alpha) ** 2) * phase
+    # mag * mag is inf, not an OverflowError, for huge |alpha|: every
+    # amplitude is then 0 and the truncation check below refuses the state
+    amp = np.exp(log_mag - 0.5 * (mag * mag)) * phase
     lost = 1.0 - float(np.sum(np.abs(amp) ** 2))
     if lost > COHERENT_TAIL_TOL:
         raise TruncationError(
@@ -177,11 +173,11 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     taken in log space (exactly 0 for l > 0 at eta = 0).  Unlike the
     alternating finite sum over ladder monomials, this does not cancel at
     large |eta| and dim.
-    The result is cross-checked on the low block (n, m < dim/2) against
-    exp(eta a^dag - eta* a) built on a basis padded by 10 + 2|eta|^2
-    levels, a self-validating construction; the exponential is the
-    scaling-and-squaring Pade method of Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31, 970 (2009).
+    For |eta|^2 < dim/4 only, the result is cross-checked on the low block
+    (n, m < dim/2) against exp(eta a^dag - eta* a) built on a basis padded
+    by 10 + 2|eta|^2 levels, a self-validating construction; the
+    exponential is the scaling-and-squaring Pade method of Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009).
 
     Raises:
         ValueError: if ``eta`` is not finite.
@@ -202,20 +198,20 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     # eta^l = |eta|^l e^{i l arg eta} below the diagonal, (-eta*)^l above it
     phase = np.where(n < m, (-1.0) ** ell, 1.0) * np.exp(1j * (n - m) * np.angle(eta))
     d = np.exp(log_mag) * _laguerre_ratios(dim, x)[lo, ell] * phase
-    # The exponential of the truncated generator is itself inexact near
-    # the cut, and the error reaches the low block (1e-5 at dim 12,
-    # |eta| ~ 1).  Padding the basis beyond the spread of D(eta)|n>, which
-    # grows with |eta|^2, makes the reference exact to ~1e-15 (checked for
-    # dim <= 100).
-    pad = 10 + int(2.0 * x)
-    a, adag, _ = ladder(dim + pad)
-    d_exp = _expm(eta * adag - np.conj(eta) * a)
-    low = dim // 2
-    dev = np.max(np.abs(d[:low, :low] - d_exp[:low, :low]))
-    if dev > _DISPLACEMENT_SELF_CHECK_TOL and x < dim / 4:
-        raise SelfCheckError(
-            f"displacement self-check failed: closed form vs expm deviate by {dev:.3e}"
-        )
+    if x < dim / 4:
+        # The exponential of the truncated generator is itself inexact near
+        # the cut, and the error reaches the low block (1e-5 at dim 12,
+        # |eta| ~ 1).  Padding the basis beyond the spread of D(eta)|n>,
+        # which grows with |eta|^2, makes the reference exact to ~1e-15
+        # (checked for dim <= 100).
+        a, adag, _ = ladder(dim + 10 + int(2.0 * x))
+        d_exp = _expm(eta * adag - np.conj(eta) * a)
+        low = dim // 2
+        dev = np.max(np.abs(d[:low, :low] - d_exp[:low, :low]))
+        if dev > _DISPLACEMENT_SELF_CHECK_TOL:
+            raise SelfCheckError(
+                f"displacement self-check failed: closed form vs expm deviate by {dev:.3e}"
+            )
     return d
 
 
@@ -240,12 +236,14 @@ def squeezed_vacuum_vector(r: float, theta: float = 0.0, dim: int = 60) -> FockS
     n_pairs = (dim - 1) // 2
     n = np.arange(n_pairs + 1)
     log_fact = _log_factorials(2 * n_pairs + 1)
+    # log cosh r = |r| + log(1 + e^{-2|r|}) - log 2 never overflows
+    log_cosh = abs(r) + math.log1p(math.exp(-2.0 * abs(r))) - math.log(2.0)
     log_mag = (
         0.5 * log_fact[2 * n]
         - n * np.log(2.0)
         - log_fact[n]
         + n * np.log(np.tanh(abs(r)))
-        - 0.5 * np.log(np.cosh(r))
+        - 0.5 * log_cosh
     )
     base = -np.exp(1j * theta) * np.sign(np.tanh(r))  # unit phase of -e^{i theta} tanh r
     amp[2 * n] = np.exp(log_mag) * base**n
@@ -286,18 +284,26 @@ def tmsv_vector(r: float, theta: float = 0.0, dim: int = 40) -> FockState:
 
 
 def thermal_density(nbar: float, dim: int) -> FockDensity:
-    """Geometric (thermal) density matrix with mean occupation nbar.
+    """Geometric (thermal) density matrix with mean occupation nbar:
+    populations (1 - x) x^n, x = nbar / (1 + nbar), and mass x^dim beyond
+    the cutoff.
 
     Raises:
         ValueError: if ``nbar`` is negative or not finite.
+        TruncationError: if x^dim exceeds ``THERMAL_TAIL_TOL``.
     """
     _check_dim(dim)
     _finite(nbar, "nbar")
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     x = nbar / (1.0 + nbar)
+    tail = x**dim
+    if tail > THERMAL_TAIL_TOL:
+        raise TruncationError(
+            f"thermal state with nbar={nbar:.3g} loses {tail:.3e} mass at dim={dim}"
+        )
     p = (1.0 - x) * x ** np.arange(dim)  # 0^0 = 1 gives the vacuum at nbar = 0
-    p = p / p.sum()  # renormalize the truncated geometric series
+    p = p / p.sum()  # restore the unit trace the tolerated tail took
     return FockDensity(matrix=np.diag(p).astype(complex), dim=dim)
 
 
@@ -376,10 +382,9 @@ def number_expectation(obj: FockState | FockDensity) -> float:
 
 def fock_entropy(rho: FockDensity) -> float:
     """Von Neumann entropy -sum lambda log lambda (natural log) of a density
-    matrix, with 0 log 0 = 0."""
+    matrix, with 0 log 0 = 0; :class:`FockDensity` refused eigenvalues
+    below -1e-10, so the rest are clipped at 0."""
     vals = np.linalg.eigvalsh(rho.matrix)
-    if vals[0] < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
     vals = np.clip(vals, 0.0, None)
     nz = vals[vals > 0]
     return float(-np.sum(nz * np.log(nz)))

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, UnphysicalStateError
-from .symplectic import _finite, _symmetrized
+from .symplectic import _checked, _finite, _symmetrized
 from .williamson import symplectic_spectrum
 
 PHYSICALITY_TOL = 1e-8
@@ -49,13 +49,8 @@ class GaussianState:
         if self.n_modes < 1:
             raise DimensionError(f"n_modes must be >= 1, got {self.n_modes}")
         dim = 2 * self.n_modes
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (dim,):
-            raise DimensionError(f"mean must have shape ({dim},), got {mean.shape}")
-        _finite(mean, "mean")
-        if cov.shape != (dim, dim):
-            raise DimensionError(f"cov must be {dim}x{dim}, got {cov.shape}")
+        mean = _checked(self.mean, "mean", (dim,))
+        cov = _checked(self.cov, "covariance matrix", (dim, dim))
         cov = _symmetrized(cov, "covariance matrix")
         if np.linalg.eigvalsh(cov)[0] <= 0:
             raise UnphysicalStateError("covariance matrix must be positive definite")
@@ -129,7 +124,8 @@ def thermal(nu: float) -> GaussianState:
 
     nu = coth(hbar omega / (2 kB T)) = 2 nbar + 1 >= 1; nu = 1 is the vacuum.
     """
-    if not np.isfinite(nu) or nu < 1.0:
+    _finite(nu, "nu")
+    if nu < 1.0:
         raise UnphysicalStateError(f"thermal state requires nu >= 1, got {nu}")
     return GaussianState(n_modes=1, mean=np.zeros(2), cov=nu * np.eye(2))
 
@@ -143,11 +139,8 @@ def coherent(alpha: Complex | Sequence[Complex]) -> GaussianState:
     Args:
         alpha: a complex amplitude, or one amplitude per mode.
     """
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise DimensionError("alpha must be a complex scalar or a 1-d sequence")
-    if not np.all(np.isfinite(alphas)):
-        raise ValueError("alpha must be finite")
+    alphas = np.atleast_1d(alpha)
+    alphas = _checked(alphas, "alpha", alphas.shape[:1], complex)
     n = alphas.size
     mean = np.empty(2 * n)
     mean[0::2] = np.sqrt(2.0) * alphas.real
@@ -167,8 +160,7 @@ def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
     R(theta/2) diag(e^-2r, e^2r) R(theta/2)^T, whose entries do not cancel
     the way cosh 2r - sinh 2r does at large r.
     """
-    if not np.isfinite(r):
-        raise ValueError("squeezing parameter must be finite")
+    _finite(r, "r")
     small, large = np.exp(-2 * r), np.exp(2 * r)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     off = (small - large) * c * s
@@ -183,8 +175,7 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
     from -cos(theta) sinh(r) and -sin(theta) sinh(r).  Tracing out either
     mode leaves a thermal state with nu = cosh r.
     """
-    if not np.isfinite(r):
-        raise ValueError("squeezing parameter must be finite")
+    _finite(r, "r")
     ch, sh = np.cosh(r), np.sinh(r)
     cs, sn = np.cos(theta) * sh, np.sin(theta) * sh
     cov = np.array(

@@ -9,10 +9,10 @@ The symplectic matrix Omega is antisymmetric with Omega^2 = -1, and its
 inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 [[0, -1], [1, 0]].
 
-:func:`_symmetrized` is the one symmetry (Hermiticity) check of the
-package, with the one tolerance ``SYMMETRY_TOL``; it also rejects NaN and
-infinite entries, as :func:`_finite` does for vectors.  :func:`_expm` is
-the package's one matrix exponential.
+:func:`_checked` and :func:`_n_modes` admit every array that enters the
+package, once.  :func:`_symmetrized` is the one symmetry (Hermiticity)
+check, with the one tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the
+package's one matrix exponential.
 """
 
 from __future__ import annotations
@@ -35,15 +35,33 @@ def _finite(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
+def _checked(a, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """``a`` as an array of ``dtype``; raises DimensionError if its shape
+    is not ``shape`` and ValueError if an entry is NaN or infinite."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
+    _finite(a, name)
+    return a
+
+
+def _n_modes(m, name: str) -> int:
+    """Mode count n of a square matrix of size 2n; DimensionError otherwise."""
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2:
+        raise DimensionError(f"{name} must be square of even size, got shape {shape}")
+    return shape[0] // 2
+
+
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """Returns (m + m^dag)/2 after checking that ``m`` is finite and
-    symmetric, or Hermitian if complex, up to float noise.
+    """Returns (m + m^dag)/2 after checking that ``m`` is symmetric, or
+    Hermitian if complex, up to float noise.  ``m`` comes from
+    :func:`_checked`, so it is finite (a NaN would pass the test).
 
     Raises:
-        ValueError: naming the matrix, if an entry is not finite or if
-            max|m - m^dag| exceeds SYMMETRY_TOL * max(1, max|m|).
+        ValueError: naming the matrix, if max|m - m^dag| exceeds
+            SYMMETRY_TOL * max(1, max|m|).
     """
-    _finite(m, name)
     m_dag = m.conj().T
     asym = np.max(np.abs(m - m_dag))
     if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
@@ -96,22 +114,21 @@ def check_symplectic(m: np.ndarray, form: SymplecticForm | None = None) -> Sympl
     returned so callers can report it even on failure.
 
     Args:
-        m: real square matrix of even dimension 2n.
+        m: real, finite square matrix of even dimension 2n.
         form: symplectic form to test against; built on the fly from the
             matrix dimension when omitted.
 
     Returns:
         SymplecticCheck(ok, residual).
+
+    Raises:
+        DimensionError: if ``m`` is not square of even size, or does not
+            match ``form``.
+        ValueError: if an entry of ``m`` is NaN or infinite.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-        raise DimensionError(f"expected square even-dimensional matrix, got shape {m.shape}")
     if form is None:
-        form = make_symplectic_form(m.shape[0] // 2)
-    if m.shape[0] != 2 * form.n_modes:
-        raise DimensionError(
-            f"matrix dimension {m.shape[0]} does not match form with {form.n_modes} modes"
-        )
+        form = make_symplectic_form(_n_modes(m, "m"))
+    m = _checked(m, "m", form.omega.shape)
     omega_inv = form.omega.T
     m_omega_inv = m @ omega_inv
     residual = float(np.max(np.abs(m_omega_inv @ m.T - omega_inv)))

@@ -14,14 +14,14 @@ Every Wigner function is normalized to 1 and bounded by 1 / (pi hbar).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, GridAdequacyWarning
 from .states import GaussianState, gaussian_wigner_params
-from .symplectic import _finite
+from .symplectic import _checked, _finite
 
 GRID_TOL = 1e-6
 N_MAX_LAGUERRE = 200
@@ -99,13 +99,7 @@ class WignerGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_q, self.grid.n_p):
-            raise DimensionError(
-                f"values must be {self.grid.n_q}x{self.grid.n_p}, got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("Wigner values must be finite")
+        vals = _checked(self.values, "values", (self.grid.n_q, self.grid.n_p))
         bound = 1.0 / (np.pi * self.grid.hbar)
         if np.max(np.abs(vals)) > bound + GRID_TOL:
             raise ValueError(
@@ -198,13 +192,12 @@ class SampledWavefunction:
     x_min: float
     x_max: float
     psi: np.ndarray
-    norm_deviation: float = 0.0
+    norm_deviation: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex).reshape(-1)
+        psi = _checked(self.psi, "psi", np.shape(self.psi)[:1], complex)
         if psi.size < 2:
             raise DimensionError("need at least 2 samples")
-        _finite(psi, "psi")
         _finite(np.array([self.x_min, self.x_max]), "sampling window")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")

@@ -32,13 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditioningWarning,
-    DimensionError,
-    NoGroundStateError,
-    NotPositiveDefiniteError,
+from .errors import ConditioningWarning, NotPositiveDefiniteError
+from .symplectic import (
+    SymplecticForm, _checked, _n_modes, _symmetrized, check_symplectic, make_symplectic_form
 )
-from .symplectic import SymplecticForm, _symmetrized, check_symplectic, make_symplectic_form
 
 DEFAULT_WILLIAMSON_TOL = 1e-8
 _COND_FLOOR = 1e-12
@@ -55,18 +52,12 @@ def _core(
     Raises:
         DimensionError: if ``f`` is not square of even dimension, or does
             not match ``form``.
-        ValueError: if ``f`` is not symmetric.
+        ValueError: if ``f`` has non-finite entries or is not symmetric.
         NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2 != 0:
-        raise DimensionError(f"f must be square with even dimension, got shape {f.shape}")
-    f = _symmetrized(f, "f")
-    n = f.shape[0] // 2
     if form is None:
-        form = make_symplectic_form(n)
-    if form.n_modes != n:
-        raise DimensionError(f"form has {form.n_modes} modes, matrix has {n}")
+        form = make_symplectic_form(_n_modes(f, "f"))
+    f = _symmetrized(_checked(f, "f", form.omega.shape), "f")
     vals, vecs = np.linalg.eigh(f)
     if vals[0] <= 0:
         raise NotPositiveDefiniteError(
@@ -176,38 +167,3 @@ def williamson_decompose(
         residual_symplectic=residual_sympl,
     )
 
-
-def normal_mode_ground_state(hamiltonian):
-    """Ground state of a positive definite quadratic Hamiltonian.
-
-    Symplectically diagonalizes the Hamiltonian matrix into decoupled
-    normal modes, places each in its ground state, and maps the covariance
-    back to the original modes.  The two steps collapse to
-
-        sigma = Sigma^T Sigma,
-
-    with Sigma the Williamson diagonalizer of the Hamiltonian matrix.
-
-    Args:
-        hamiltonian: a ``QuadraticHamiltonian`` (its linear part is ignored;
-            a linear term only displaces the ground state's mean).
-
-    Returns:
-        GaussianState of the ground state (pure, mean zero).
-
-    Raises:
-        NoGroundStateError: if the Hamiltonian matrix is not positive
-            definite (no normalizable ground state exists).
-    """
-    from .states import GaussianState
-
-    try:
-        dec = williamson_decompose(hamiltonian.f_bar)
-    except NotPositiveDefiniteError as exc:
-        raise NoGroundStateError(
-            "Hamiltonian matrix is not positive definite "
-            f"(min eigenvalue {exc.min_eigenvalue:.3e})"
-        ) from None
-    cov = dec.sigma.T @ dec.sigma
-    mean = np.zeros(2 * hamiltonian.n_modes)
-    return GaussianState(n_modes=hamiltonian.n_modes, mean=mean, cov=cov)

@@ -1,0 +1,116 @@
+"""Admission of every input the library takes: a wrong shape raises
+DimensionError, a NaN or infinite entry raises ValueError naming the
+non-finite entries, and neither emits a RuntimeWarning on the way."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from gaussphase import (
+    DimensionError,
+    GaussianChannel,
+    GaussianState,
+    LadderHamiltonian,
+    QuadraticHamiltonian,
+    SampledWavefunction,
+    WignerGrid,
+    centered_grid,
+    check_symplectic,
+    coherent,
+    entanglement_entropy,
+    fock,
+    generate_channel,
+    make_symplectic_form,
+    rotation_hamiltonian,
+    squeezed_vacuum,
+    symplectic_spectrum,
+    thermal,
+    two_mode_squeezed_vacuum,
+    williamson_decompose,
+)
+
+E2, Z1, Z2 = np.eye(2), np.zeros((1, 1)), np.zeros(2)
+
+# site -> (builder of one argument, a valid argument, a wrong-shaped one)
+ARRAY_SITES = {
+    "state-mean": (lambda x: GaussianState(1, x, E2), Z2, np.zeros(3)),
+    "state-cov": (lambda x: GaussianState(1, Z2, x), E2, np.eye(3)),
+    "hamiltonian-f_bar": (lambda x: QuadraticHamiltonian(1, x), E2, np.eye(4)),
+    "hamiltonian-alpha": (lambda x: QuadraticHamiltonian(1, E2, x), Z2, np.zeros((2, 1))),
+    "ladder-w": (lambda x: LadderHamiltonian(1, x, Z1), Z1, np.zeros((2, 2))),
+    "ladder-g": (lambda x: LadderHamiltonian(1, Z1, x), Z1, np.zeros(1)),
+    "channel-s": (lambda x: GaussianChannel(x, Z2), E2, np.eye(3)),
+    "channel-d": (lambda x: GaussianChannel(E2, x), Z2, np.zeros(4)),
+    "wigner-values": (
+        lambda x: WignerGrid(centered_grid(1.0, 3), x),
+        np.zeros((3, 3)),
+        np.zeros((3, 4)),
+    ),
+    "fock-amplitudes": (lambda x: fock.FockState(x, 2), [1.0, 0.0], [1.0, 0.0, 0.0]),
+    "fock-density": (lambda x: fock.FockDensity(x, 2), np.diag([1.0, 0.0]), np.eye(3) / 3),
+    "check_symplectic": (check_symplectic, E2, np.eye(2, 3)),
+    "check_symplectic-form": (
+        lambda x: check_symplectic(x, make_symplectic_form(2)),
+        np.eye(4),
+        E2,
+    ),
+    "symplectic_spectrum": (symplectic_spectrum, E2, np.eye(3)),
+    "williamson_decompose": (williamson_decompose, E2, np.ones((2, 2, 2))),
+    # a 2-d psi used to be flattened into 10 samples
+    "wavefunction-psi": (
+        lambda x: SampledWavefunction(0.0, 1.0, x),
+        np.ones(5),
+        np.ones((5, 2)),
+    ),
+    "coherent-alpha": (coherent, [0.5, 1j], [[0.5, 1j]]),
+}
+
+# site -> (builder of one scalar, a valid scalar)
+SCALAR_SITES = {
+    "thermal-nu": (thermal, 1.5),
+    "squeezed-r": (squeezed_vacuum, 0.5),
+    "tmsv-r": (two_mode_squeezed_vacuum, 0.5),
+    "channel-t": (lambda t: generate_channel(rotation_hamiltonian(1), t), 0.5),
+}
+
+
+def _first_entry(a, value):
+    """Copy of ``a`` with its first entry set to ``value``."""
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
+    a.flat[0] = value
+    return a
+
+
+def _cases():
+    for site, (build, good, wrong) in ARRAY_SITES.items():
+        yield pytest.param(build, good, None, None, id=f"{site}-valid")
+        yield pytest.param(build, wrong, DimensionError, "shape", id=f"{site}-shape")
+        for value in (np.nan, np.inf):
+            bad = _first_entry(good, value)
+            yield pytest.param(build, bad, ValueError, "non-finite", id=f"{site}-{value}")
+    for site, (build, good) in SCALAR_SITES.items():
+        yield pytest.param(build, good, None, None, id=f"{site}-valid")
+        for value in (np.nan, np.inf):
+            yield pytest.param(build, value, ValueError, "non-finite", id=f"{site}-{value}")
+    # partial_trace refuses a repeated mode before entanglement_entropy reads it
+    yield pytest.param(
+        lambda keep: entanglement_entropy(two_mode_squeezed_vacuum(1.0), keep),
+        [0, 0],
+        IndexError,
+        "duplicate",
+        id="entanglement-duplicate",
+    )
+
+
+@pytest.mark.parametrize("build, arg, error, match", _cases())
+def test_admission(build, arg, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            build(arg)
+            return
+        with pytest.raises(error, match=match) as excinfo:
+            build(arg)
+    # a shape fault is a DimensionError, a non-finite entry a plain ValueError
+    assert (excinfo.type is DimensionError) == (error is DimensionError)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +399,42 @@ def test_builders_reject_bad_input(build, args, error):
     # is refused on entry instead of yielding an all-NaN state
     with pytest.raises(error, match="non-finite" if error is ValueError else "dim"):
         build(*args)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (fock.thermal_density, (5.0, 10)),  # would drop 16 % of the mass
+        (fock.thermal_density, (1e300, 10)),  # x = 1: would divide 0 by 0
+        (fock.squeezed_vacuum_vector, (800.0, 0.0, 10)),  # cosh r overflows
+        (fock.coherent_vector, (1e200, 10)),  # |alpha|^2 overflows
+    ],
+)
+def test_builders_refuse_extreme_truncation(build, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError):
+            build(*args)
+
+
+def test_thermal_density_tail_bound():
+    # x^dim with x = nbar / (1 + nbar) is the mass the cutoff drops
+    nbar = 0.7
+    x = nbar / (1.0 + nbar)
+    assert x**30 > fock.THERMAL_TAIL_TOL > x**40
+    with pytest.raises(TruncationError):
+        fock.thermal_density(nbar, 30)
+    assert fock.number_expectation(fock.thermal_density(nbar, 40)) == pytest.approx(
+        nbar, abs=1e-12
+    )
+
+
+def test_large_displacement_skips_the_reference():
+    # the padded exp reference would need 2e6 levels; it is built only
+    # where the self-check runs (|eta|^2 < dim / 4)
+    d = fock.displacement_matrix(1e3, 10)
+    assert d.shape == (10, 10)
+    assert np.isfinite(d).all()
 
 
 class TestFockEntropy:

@@ -37,7 +37,7 @@ from gaussphase import fock
 coh = fock.coherent_vector(0.5 - 0.2j, 24)
 sq = fock.squeezed_vacuum_vector(0.4, 0.3, 40)
 tm = fock.tmsv_vector(0.3, 0.1, 20)
-th = fock.thermal_density(0.7, 30)
+th = fock.thermal_density(0.7, 40)
 fock.displacement_matrix(0.6 + 0.1j, 24)
 fock.covariance_from_fock(coh)
 fock.covariance_from_fock(tm)

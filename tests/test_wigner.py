@@ -236,6 +236,10 @@ class TestSampledWavefunction:
         assert np.trapezoid(np.abs(psi.psi) ** 2, psi.x) == pytest.approx(1.0, abs=1e-12)
         assert psi.norm_deviation > 1.0  # the input was far from normalized
 
+    def test_norm_deviation_is_computed_not_passed(self):
+        with pytest.raises(TypeError):
+            SampledWavefunction(x_min=0.0, x_max=1.0, psi=np.ones(5), norm_deviation=0.0)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             PhaseSpaceGrid(q_min=1, q_max=0, p_min=0, p_max=1, n_q=10, n_p=10)
