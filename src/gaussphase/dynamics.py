@@ -24,7 +24,8 @@ import numpy as np
 from .errors import DimensionError, NoGroundStateError, NotPositiveDefiniteError
 from .states import GaussianState, _trusted_state
 from .symplectic import (
-    _checked, _expm, _finite, _n_modes, _symmetrized, check_symplectic, make_symplectic_form
+    _checked, _expm, _finite, _flushed, _n_modes, _symmetrized, check_symplectic,
+    make_symplectic_form,
 )
 from .williamson import williamson_decompose
 
@@ -181,30 +182,38 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     exp([[M, 1], [0, 0]] t), whose top-right block equals t * Phi(M t), so
     no inversion of M is needed.  A zero Fbar gives S = 1 exactly.
     A non-finite ``t``, or one so large that the exponential overflows,
-    raises ValueError.
+    raises ValueError, before any overflow warning.  Entries of S below
+    2^-500 max|S| are stored as exact zeros (see
+    :func:`~gaussphase.symplectic._flushed`), so that products with S do
+    not run on subnormal numbers.
     """
     _finite(t, "t")
     omega_inv = make_symplectic_form(h.n_modes).omega.T
     dim = 2 * h.n_modes
     m = omega_inv @ h.f_bar
-    if np.any(h.alpha):
-        aug = np.zeros((2 * dim, 2 * dim))
-        aug[:dim, :dim] = m
-        aug[:dim, dim:] = np.eye(dim)
-        e_aug = _expm(aug * t)
-        s = e_aug[:dim, :dim]
-        d = e_aug[:dim, dim:] @ (omega_inv @ h.alpha)
-    else:
-        s = _expm(m * t)
-        d = np.zeros(dim)
-    return GaussianChannel(s=s, d=d)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if np.any(h.alpha):
+                aug = np.zeros((2 * dim, 2 * dim))
+                aug[:dim, :dim] = m
+                aug[:dim, dim:] = np.eye(dim)
+                e_aug = _expm(aug * t)
+                s = e_aug[:dim, :dim]
+                d = e_aug[:dim, dim:] @ (omega_inv @ h.alpha)
+            else:
+                s = _expm(m * t)
+                d = np.zeros(dim)
+    except FloatingPointError:
+        raise ValueError("s has non-finite entries") from None
+    return GaussianChannel(s=_flushed(s), d=d)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
     """Applies (S, d): mean -> S mean + d, cov -> S cov S^T.
 
     A symplectic congruence of a valid state is a valid state, so the
-    result is not re-validated; its covariance is symmetrized exactly.
+    result is not re-validated; its covariance is symmetrized exactly, and
+    its entries below 2^-500 of the largest are stored as exact zeros.
     """
     if channel.n_modes != state.n_modes:
         raise DimensionError(
@@ -213,7 +222,7 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     s = channel.s
     cov = s @ state.cov @ s.T
     mean = s @ state.mean + channel.d
-    return _trusted_state(state.n_modes, mean, 0.5 * (cov + cov.T))
+    return _trusted_state(state.n_modes, mean, _flushed(0.5 * (cov + cov.T)))
 
 
 HamiltonianLike = Union[QuadraticHamiltonian, Callable[[float], QuadraticHamiltonian]]

@@ -29,6 +29,8 @@ SQUEEZED_TAIL_TOL = 1e-12
 TMSV_TAIL_TOL = 1e-14
 THERMAL_TAIL_TOL = 1e-12
 _DISPLACEMENT_SELF_CHECK_TOL = 1e-9
+# largest |eta| whose square is a finite float
+_ETA_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -180,24 +182,36 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009).
 
     Raises:
-        ValueError: if ``eta`` is not finite.
+        ValueError: naming ``eta``, if it is not finite, if |eta|^2
+            overflows, or if the Laguerre table overflows (from |eta|^2 of
+            about 2.4e31 at dim = 10, 1.6e4 at dim = 120 and 1.5e3 at
+            dim = 300).
         SelfCheckError: if the closed form and the exponential disagree
             on the low block by more than 1e-9 (checked for
             |eta|^2 < dim/4).
     """
     _check_dim(dim)
     _finite(eta, "eta")
+    if abs(eta) > _ETA_MAX:
+        raise ValueError(f"eta = {eta} is too large: |eta|^2 overflows")
     n = np.arange(dim)[:, None]
     m = np.arange(dim)[None, :]
     lo, ell = np.minimum(n, m), np.abs(n - m)
     x = abs(eta) ** 2
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ratios = _laguerre_ratios(dim, x)
+    except FloatingPointError:
+        raise ValueError(
+            f"eta = {eta} is too large for dim = {dim}: the Laguerre recurrence overflows"
+        ) from None
     # l log|eta|, with 0 log 0 = 0 on the diagonal
     log_mag = ell * math.log(abs(eta)) if eta != 0 else np.where(ell == 0, 0.0, -np.inf)
     log_fact = _log_factorials(dim)
     log_mag = log_mag - 0.5 * x + 0.5 * (log_fact[lo + ell] - log_fact[lo]) - log_fact[ell]
     # eta^l = |eta|^l e^{i l arg eta} below the diagonal, (-eta*)^l above it
     phase = np.where(n < m, (-1.0) ** ell, 1.0) * np.exp(1j * (n - m) * np.angle(eta))
-    d = np.exp(log_mag) * _laguerre_ratios(dim, x)[lo, ell] * phase
+    d = np.exp(log_mag) * ratios[lo, ell] * phase
     if x < dim / 4:
         # The exponential of the truncated generator is itself inexact near
         # the cut, and the error reaches the low block (1e-5 at dim 12,

@@ -248,12 +248,18 @@ def physicality_check(state: GaussianState) -> PhysicalityReport:
 def gaussian_wigner_params(state: GaussianState) -> GaussianWignerParams:
     """Normalization and inverse covariance of the Gaussian Wigner function.
 
+    The normalization 1 / (pi^n sqrt(det sigma)) is formed from the
+    log-determinant, as exp(-n log pi - log det sigma / 2), so a
+    determinant beyond the float range (thermal(1e300) has 1e600) does not
+    overflow.
+
     Raises:
-        numpy.linalg.LinAlgError: if the covariance matrix is singular.
+        numpy.linalg.LinAlgError: if the covariance determinant is not
+            positive.
     """
-    det = np.linalg.det(state.cov)
-    if det <= 0 or not np.isfinite(det):
-        raise np.linalg.LinAlgError(f"covariance determinant {det} is not positive")
-    norm = float(1.0 / (np.pi**state.n_modes * np.sqrt(det)))
+    sign, logdet = np.linalg.slogdet(state.cov)
+    if sign <= 0:
+        raise np.linalg.LinAlgError("covariance determinant is not positive")
+    norm = float(np.exp(-state.n_modes * np.log(np.pi) - 0.5 * logdet))
     cov_inv = np.linalg.inv(state.cov)
     return GaussianWignerParams(normalization=norm, cov_inv=cov_inv, mean=state.mean)

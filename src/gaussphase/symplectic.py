@@ -12,7 +12,8 @@ inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
 package, once.  :func:`_symmetrized` is the one symmetry (Hermiticity)
 check, with the one tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the
-package's one matrix exponential.
+package's one matrix exponential, and :func:`_flushed` stores the
+negligible entries of the matrices the dynamics layer creates as zeros.
 """
 
 from __future__ import annotations
@@ -67,6 +68,41 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (m + m_dag)
+
+
+# entries below this fraction of the largest are stored as exact zeros
+_FLUSH_RATIO = 2.0**-500
+
+
+def _flushed(m: np.ndarray) -> np.ndarray:
+    """A copy of ``m`` with every entry below 2^-500 max|m| set to 0.
+
+    Channels of local Hamiltonians decay faster than exponentially away
+    from the diagonal, and their products then carry subnormal entries,
+    which slow every dense product that touches them by an order of
+    magnitude.  After the flush no entry is subnormal, and the threshold
+    keeps the products of kept entries normal as well:
+
+    - Scale.  ``m`` is a symplectic S or a physical covariance sigma of
+      size 2n.  ||S||_2 >= 1, because the singular values of S come in
+      pairs (s, 1/s), and lambda_max(sigma) >= 1, because
+      det sigma = prod nu_k^2 >= 1.  Since ||m||_2 <= 2n max|m|, the
+      largest entry is at least 1/(2n).
+    - Products stay normal.  An entry that is kept has |x| >= 2^-500
+      max|x| >= 2^-500 / (2n), so a product of two kept entries, of one
+      matrix or of S and sigma, is at least 2^-1000 / (4n^2), which is
+      above the smallest normal number 2^-1022 for n <= 1024.
+    - Accuracy.  Every entry that is zeroed is below 2^-500 max|m|, so
+      the change is at most 2^-500 relative to max|m|, far below the
+      rounding error 2^-53 of any product the matrix enters.
+
+    The test |x| >= t is symmetric in x, so a symmetric ``m`` stays
+    exactly symmetric.  A flushed entry keeps its sign (0.0 or -0.0), and a
+    matrix without small nonzero entries, including the zero matrix, is
+    returned bit for bit.
+    """
+    mag = np.abs(m)
+    return m * (mag >= _FLUSH_RATIO * mag.max())
 
 
 @dataclass(frozen=True)

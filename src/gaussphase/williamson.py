@@ -20,9 +20,12 @@ Within a degenerate group of symplectic eigenvalues Sigma is not unique;
 the eigensolver's orthonormal basis of the group is kept.
 
 The symmetric root is used rather than a Cholesky factor L (spectrum from
-i L^T Omega L) or the real Schur form of Y: on banded covariances such as
-a harmonic chain's, both measured slower than eigh(iY) with the symmetric
-root (see ROADMAP item 3).
+i L^T Omega L) or the real Schur form of Y: on the covariance of a
+256-mode harmonic chain after a channel (2-vCPU VM, OpenBLAS),
+eigvalsh(iY) took 40 ms against 261 ms for eigvalsh(i L^T Omega L) and
+270 ms for the real Schur form of Y.  The gap between the first two
+stays (76 against 273 ms, in a slower stretch of the same VM) when the
+channel output is free of subnormal entries.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gaussphase import (
     two_mode_squeezed_vacuum,
     vacuum,
 )
+from gaussphase.symplectic import _expm, _flushed
 
 
 def tms_f_bar_pairwise(r, theta):
@@ -160,6 +162,21 @@ class TestGenerateChannel:
         ch = generate_channel(ham, t)
         assert np.max(np.abs(ch.d - oracle)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "ham, t",
+        [
+            (squeeze_hamiltonian(1.0), 1e6),
+            (QuadraticHamiltonian(n_modes=1, f_bar=1e300 * np.eye(2)), 1.0),
+            (QuadraticHamiltonian(n_modes=1, f_bar=np.diag([1.0, -1.0]), alpha=[1.0, 0.0]), 1e6),
+        ],
+        ids=["squeeze-t1e6", "f1e300", "augmented-t1e6"],
+    )
+    def test_overflow_refused_without_warning(self, ham, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                generate_channel(ham, t)
+
 
 class TestApplyChannel:
     def test_squeeze_channel_on_vacuum(self):
@@ -217,6 +234,65 @@ class TestApplyChannel:
         out = apply_channel(generate_channel(ham, 0.7), state)
         with pytest.raises(UnphysicalStateError):
             purity(out)
+
+
+def chain_f_bar(rng, n):
+    """Pairwise-ordered F for H = sum p^2/2 + sum w_i^2 q_i^2/2
+    + sum k_i (q_i - q_{i+1})^2/2 (the benchmark's harmonic chain)."""
+    k = np.diag(rng.uniform(0.8, 1.2, n) ** 2)
+    for i, spring in enumerate(rng.uniform(0.2, 1.0, n - 1)):
+        k[i, i] += spring
+        k[i + 1, i + 1] += spring
+        k[i, i + 1] -= spring
+        k[i + 1, i] -= spring
+    f = np.zeros((2 * n, 2 * n))
+    f[0::2, 0::2] = k
+    f[1::2, 1::2] = np.eye(n)
+    return f
+
+
+def n_subnormal(a):
+    mag = np.abs(a)
+    return int(np.count_nonzero((mag > 0) & (mag < np.finfo(float).tiny)))
+
+
+class TestSubnormalFlush:
+    def test_chain_channel_products_have_no_subnormals(self):
+        # the channel of a local Hamiltonian decays faster than exponentially
+        # away from the diagonal; at 128 modes its far entries are subnormal
+        n, t = 128, 0.5
+        ham = QuadraticHamiltonian(n_modes=n, f_bar=chain_f_bar(np.random.default_rng(0), n))
+        s_raw = _expm(make_symplectic_form(n).omega.T @ ham.f_bar * t)
+        assert n_subnormal(s_raw) > 0
+        ch = generate_channel(ham, t)
+        assert n_subnormal(ch.s) == 0
+        assert np.max(np.abs(ch.s - s_raw)) <= 1e-15 * np.max(np.abs(s_raw))
+        nu = np.linspace(1.5, 4.0, n)
+        thermal_product = GaussianState(n_modes=n, mean=np.zeros(2 * n), cov=np.diag(np.repeat(nu, 2)))
+        for state in (vacuum(n), thermal_product):
+            cov_raw = s_raw @ state.cov @ s_raw.T
+            assert n_subnormal(cov_raw) > 0
+            cov = apply_channel(ch, state).cov
+            assert n_subnormal(cov) == 0
+            assert np.array_equal(cov, cov.T)
+            assert np.max(np.abs(cov - cov_raw)) <= 1e-15 * np.max(np.abs(cov_raw))
+
+    def test_zero_matrix_unchanged(self):
+        zero = np.zeros((4, 4))
+        assert np.array_equal(_flushed(zero), zero)
+
+    def test_matrix_without_small_entries_is_bit_identical(self):
+        m = np.random.default_rng(5).normal(size=(6, 6))
+        m[0, 1] = -0.0
+        m[2, 3] = 2.0**-500 * np.max(np.abs(m))  # at the threshold: kept
+        out = _flushed(m)
+        assert out is not m
+        assert np.array_equal(out.view(np.int64), m.view(np.int64))
+
+    def test_entries_below_threshold_become_zero(self):
+        m = np.array([[-1.0, 2.0**-500, 2.0**-501], [-(2.0**-500), -(2.0**-501), 1e-300]])
+        out = _flushed(m)
+        assert np.array_equal(out, [[-1.0, 2.0**-500, 0.0], [-(2.0**-500), 0.0, 0.0]])
 
 
 class TestSymplecticInvariants:

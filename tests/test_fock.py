@@ -379,6 +379,18 @@ def test_three_mode_state_refused():
 
 
 @pytest.mark.parametrize(
+    "eta, dim",
+    [(1e200, 10), (1e200j, 10), (1e100, 10), (1e16, 10), (1e3, 300)],
+)
+def test_displacement_matrix_refuses_huge_eta(eta, dim):
+    # |eta|^2 overflows, or the Laguerre table does, before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="eta = "):
+            fock.displacement_matrix(eta, dim)
+
+
+@pytest.mark.parametrize(
     "build, args, error",
     [
         (fock.coherent_vector, (np.nan, 10), ValueError),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import to_blockwise
@@ -20,7 +22,7 @@ from gaussphase import (
     von_neumann_entropy,
 )
 from gaussphase.cli import state_from_dict
-from gaussphase.states import PHYSICALITY_TOL, PURITY_TOL
+from gaussphase.states import PHYSICALITY_TOL, PURITY_TOL, _trusted_state
 
 
 def test_vacuum_single_mode():
@@ -288,6 +290,24 @@ def test_wigner_params_vacuum():
 def test_wigner_params_thermal():
     params = gaussian_wigner_params(thermal(2.0))
     assert params.normalization == pytest.approx(1.0 / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize("nu", [1e150, 1e300])
+def test_wigner_params_normalization_beyond_float_determinant(nu):
+    # det sigma = nu^2 overflows at nu = 1e300, the normalization does not;
+    # exp(-log pi - log det / 2) carries a relative error of eps |log det| / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = gaussian_wigner_params(thermal(nu))
+    assert params.normalization == pytest.approx(1.0 / (np.pi * nu), rel=1e-13)
+
+
+def test_wigner_params_refuse_non_positive_determinant():
+    # the constructor refuses such a covariance; channel outputs and partial
+    # traces skip it and can be indefinite in floats
+    state = _trusted_state(1, np.zeros(2), np.diag([1.0, -1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="determinant is not positive"):
+        gaussian_wigner_params(state)
 
 
 def test_wigner_params_squeezed_normalization():
