@@ -239,12 +239,15 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
         f"# hbar={g.hbar:.17g}",
         "q,p,w",
     ]
-    # each coordinate is formatted once; rows become Python floats one at a
-    # time, so the whole grid is never held as float objects
-    p_text = [f",{p:.17g}," for p in g.p.tolist()]
+    # each coordinate is formatted once, into a template that writes a whole
+    # row with one % over (q, v_0, q, v_1, ...); rows become Python floats
+    # one at a time, so the whole grid is never held as float objects
+    row_template = "%s" + "\n%s".join([f",{p:.17g},%.17g" for p in g.p.tolist()])
+    fields = [None] * (2 * g.n_p)
     for q, row in zip(g.q.tolist(), w.values):
-        q_text = f"{q:.17g}"
-        lines.extend([f"{q_text}{pt}{v:.17g}" for pt, v in zip(p_text, row.tolist())])
+        fields[::2] = [f"{q:.17g}"] * g.n_p
+        fields[1::2] = row.tolist()
+        lines.append(row_template % tuple(fields))
     return "\n".join(lines)
 
 
@@ -405,6 +408,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_WRITE_CHUNK = 1 << 20  # characters
+
+
+def _write_line(fh, text: str) -> None:
+    """Writes text and a newline, text in slices of _WRITE_CHUNK characters.
+
+    A 501 x 501 grid's CSV is about 15 MB; text + "\n", or encoding it in one
+    write, would hold two more full-size copies beside it.  Where those land
+    (heap or their own mapping) depends on the sizes of earlier calls in the
+    process, so the peak memory of a process that exports several grids
+    would vary by a whole copy with the order of those sizes."""
+    for start in range(0, len(text), _WRITE_CHUNK):
+        fh.write(text[start : start + _WRITE_CHUNK])
+    fh.write("\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -417,10 +436,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                     print(f"warning: {item.message}", file=sys.stderr)
         text, summary = result if isinstance(result, tuple) else (_json_dump(result), None)
         if args.out is None:
-            sys.stdout.write(text + "\n")
+            _write_line(sys.stdout, text)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                _write_line(fh, text)
         if summary is not None:
             sys.stdout.write(_json_dump(summary) + "\n")
     except NotPureError as exc:

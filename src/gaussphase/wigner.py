@@ -13,6 +13,7 @@ Every Wigner function is normalized to 1 and bounded by 1 / (pi hbar).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,6 +46,8 @@ class PhaseSpaceGrid:
         _finite(bounds, "grid bounds and hbar")
         if self.q_max <= self.q_min or self.p_max <= self.p_min:
             raise ValueError("grid bounds must satisfy q_max > q_min and p_max > p_min")
+        with np.errstate(over="ignore"):
+            _finite(bounds[[1, 3]] - bounds[[0, 2]], "grid span q_max - q_min or p_max - p_min")
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError("need at least 2 points per axis")
         if self.hbar <= 0:
@@ -253,10 +256,14 @@ def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> 
 
     The interpolated correlation obeys c(q, -x) = conj(c(q, x)) exactly and
     the trapezoid weights are symmetric, so the sum folds onto x >= 0:
-    W = (dx / pi hbar) sum'_{x >= 0} [Re c cos(p x / hbar) + Im c sin(p x / hbar)],
+    W = (dx / pi hbar) Re sum'_{x >= 0} conj(c(q, x)) e^{i p x / hbar},
     where the primed sum halves the first and last terms.  W is real by
-    construction, and the work is two real matrix products over half the
-    quadrature points.
+    construction.  The phase factors at x_k = k dx come by angle addition:
+    with k = a m + b and m = isqrt(n - 1) + 1 for n quadrature points,
+    e^{i p x_k / hbar} is the product of a coarse table over a and a fine
+    table over b, each about sqrt(n) exponentials per p, so no cos or sin
+    is evaluated on the full n x n_p table.  The sum is then one complex
+    matrix product over half the quadrature points.
 
     The wavefunction should be sampled at least 4x finer than the grid's
     q spacing for the advertised accuracy; a warning is emitted otherwise.
@@ -274,13 +281,23 @@ def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> 
     x_quad = np.arange(n_half + 1) * psi.dx
     half_x = 0.5 * x_quad
     plus = np.interp(grid.q[:, None] + half_x, psi.x, psi.psi, left=0.0, right=0.0)
-    minus = np.interp(grid.q[:, None] - half_x, psi.x, psi.psi, left=0.0, right=0.0)
-    correl = plus * minus.conj()
-    correl[:, [0, -1]] *= 0.5  # trapezoid end weights
+    # conj(c) = psi(q - x/2) conj(psi(q + x/2)), formed in place: at small
+    # grids fresh temporaries of this size cost more in page faults than in
+    # arithmetic
+    correl_conj = np.conj(plus, out=plus)
+    correl_conj *= np.interp(grid.q[:, None] - half_x, psi.x, psi.psi, left=0.0, right=0.0)
+    correl_conj[:, 0] *= 0.5  # trapezoid end weights
+    correl_conj[:, -1] *= 0.5
 
-    phase = np.outer(x_quad, grid.p / grid.hbar)
-    values = correl.real @ np.cos(phase) + correl.imag @ np.sin(phase)
-    values *= psi.dx / (np.pi * grid.hbar)
+    # e^{i p x_k / hbar} at x_k = (a m + b) dx as coarse(a) * fine(b), the
+    # first n of the ceil(n / m) * m rows
+    n = n_half + 1
+    m = math.isqrt(n - 1) + 1
+    p_dx = grid.p * (psi.dx / grid.hbar)
+    coarse = np.exp(1j * np.outer(np.arange(-(-n // m)) * m, p_dx))
+    fine = np.exp(1j * np.outer(np.arange(m), p_dx))
+    phase = (coarse[:, None, :] * fine).reshape(-1, grid.n_p)[:n]
+    values = (correl_conj @ phase).real * (psi.dx / (np.pi * grid.hbar))
     _warn_if_inadequate(values, grid)
     return WignerGrid(grid=grid, values=values)
 

@@ -1,6 +1,7 @@
 """Admission of every input the library takes: a wrong shape raises
 DimensionError, a NaN or infinite entry raises ValueError naming the
-non-finite entries, and neither emits a RuntimeWarning on the way."""
+non-finite entries, and neither emits a RuntimeWarning on the way.  Finite
+arguments of any magnitude either give finite results or a typed refusal."""
 
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 from gaussphase import (
     DimensionError,
+    GaussPhaseError,
     GaussianChannel,
     GaussianState,
     LadderHamiltonian,
@@ -114,3 +116,30 @@ def test_admission(build, arg, error, match):
             build(arg)
     # a shape fault is a DimensionError, a non-finite entry a plain ValueError
     assert (excinfo.type is DimensionError) == (error is DimensionError)
+
+
+def _grid_axes(half_width):
+    grid = centered_grid(half_width, 5)
+    return np.array([*grid.q, *grid.p, grid.dq, grid.dp])
+
+
+# site -> builder of one finite scalar, returning the arrays it computed
+MAGNITUDE_SITES = {
+    "squeezed-r": lambda r: squeezed_vacuum(r, 0.3).cov,
+    "tmsv-r": lambda r: two_mode_squeezed_vacuum(r, 0.3).cov,
+    "grid-half_width": _grid_axes,
+}
+# 1e308 is finite, but a grid spanning [-1e308, 1e308] is not
+MAGNITUDES = [10.0**e for e in (1, -1, 10, -10, 100, -100, 300, -300)] + [1e308]
+
+
+@pytest.mark.parametrize("value", [s * m for m in MAGNITUDES for s in (1, -1)])
+@pytest.mark.parametrize("site", MAGNITUDE_SITES)
+def test_magnitude_gives_finite_values_or_typed_refusal(site, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = MAGNITUDE_SITES[site](value)
+        except (GaussPhaseError, ValueError):
+            return
+    assert np.isfinite(result).all()

@@ -15,7 +15,7 @@ from gaussphase import (
     vacuum,
 )
 from gaussphase.cli import grid_to_csv, main, state_from_dict, state_to_dict
-from gaussphase.wigner import PhaseSpaceGrid, WignerGrid
+from gaussphase.wigner import PhaseSpaceGrid, WignerGrid, eval_fock
 
 
 def run(capsys, *argv):
@@ -507,6 +507,7 @@ class TestWignerCmd:
             "--hbar=nan",
             "--hbar=inf",
             "--qrange=nan:1",
+            "--qrange=-1e308:1e308",  # finite bounds, overflowing span
         ],
     )
     def test_bad_grid_argument_exit_code(self, tmp_path, capsys, flag):
@@ -570,6 +571,20 @@ def test_grid_to_csv_matches_per_element_formatting():
     text = grid_to_csv(w, "pinned")
     assert text == reference_csv(w, "pinned")
     assert ",-0\n" in text and "e-324\n" in text and "e-310," in text
+
+
+def test_grid_output_longer_than_write_slice_is_whole(capsys, tmp_path):
+    # 161 x 161 rows make about 1.4 MB of CSV, more than one 1 MiB write slice
+    argv = ["wigner", "--fock", "1", "--nq", "161", "--np", "161"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    grid = PhaseSpaceGrid(q_min=-6, q_max=6, p_min=-6, p_max=6, n_q=161, n_p=161)
+    expected = grid_to_csv(eval_fock(1, grid), "fock:1") + "\n"
+    assert len(expected) > 1 << 20
+    assert out == expected
+    path = tmp_path / "w.csv"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    assert path.read_text(encoding="utf-8") == expected
 
 
 class TestCoupledExample:
@@ -650,6 +665,16 @@ def test_non_finite_state_file_exit_code(tmp_path, capsys, command, entry, value
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind, r", [("squeezed", "400"), ("tmsv", "800")])
+def test_overflowing_squeezing_refused_without_warning(tmp_path, capsys, kind, r):
+    out_path = tmp_path / "s.json"
+    code, out, err = run(capsys, "state", "make", kind, "--r", r, "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "warning: " not in err
     assert not out_path.exists()
 
 

@@ -7,6 +7,7 @@ superpositions of oscillator eigenfunctions."""
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -138,6 +139,27 @@ def superposition_on_grid(draw):
 @given(superposition_on_grid())
 def test_half_range_transform_matches_full_range(case):
     psi, grid = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridAdequacyWarning)
+        values = wigner_from_wavefunction(psi, grid).values
+    bound = 1.0 / (np.pi * grid.hbar)
+    assert np.max(np.abs(values - full_range_transform(psi, grid))) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize(
+    "n_x, hbar, p_max",
+    [(n, 1.0, 5.0) for n in (2, 3, 4, 5, 17, 26, 801, 2601)]
+    + [(801, 0.5, 3.125)],  # |p x / hbar| reaches 3.125 * 16 / 0.5 = 100
+)
+def test_half_range_transform_matches_full_range_at_sample_count(n_x, hbar, p_max):
+    """Sample counts around perfect squares cover every shape of the coarse
+    and fine phase tables, including a truncated last coarse block."""
+    x = np.linspace(-WINDOW, WINDOW, n_x)
+    samples = (1.0 + 0.5j * x) * np.exp(-0.1 * x**2 + 0.7j * x)
+    psi = SampledWavefunction(x_min=-WINDOW, x_max=WINDOW, psi=samples)
+    grid = PhaseSpaceGrid(
+        q_min=-3.0, q_max=2.5, p_min=-p_max, p_max=p_max, n_q=7, n_p=9, hbar=hbar
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridAdequacyWarning)
         values = wigner_from_wavefunction(psi, grid).values
