@@ -16,7 +16,7 @@ quadrature form with :func:`ladder_to_quadrature`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DimensionError, NoGroundStateError, NotPositiveDefiniteError
 from .states import GaussianState, _trusted_state
 from .symplectic import (
-    _checked, _expm, _finite, _flushed, _n_modes, _symmetrized, check_symplectic,
-    make_symplectic_form,
+    _checked, _expm, _finite, _flushed, _n_modes, _refusing_overflow, _symmetrized,
+    check_symplectic, make_symplectic_form,
 )
 from .williamson import williamson_decompose
 
@@ -102,10 +102,12 @@ class LadderHamiltonian:
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Affine phase-space map (S, d) with S symplectic."""
+    """Affine phase-space map (S, d) with S symplectic; ``residual`` is the
+    residual of :func:`~gaussphase.symplectic.check_symplectic` on S."""
 
     s: np.ndarray
     d: np.ndarray
+    residual: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         dim = 2 * _n_modes(self.s, "s")
@@ -118,6 +120,7 @@ class GaussianChannel:
         d.setflags(write=False)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def n_modes(self) -> int:
@@ -181,31 +184,27 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     displacement is read off the augmented exponential
     exp([[M, 1], [0, 0]] t), whose top-right block equals t * Phi(M t), so
     no inversion of M is needed.  A zero Fbar gives S = 1 exactly.
-    A non-finite ``t``, or one so large that the exponential overflows,
-    raises ValueError, before any overflow warning.  Entries of S below
-    2^-500 max|S| are stored as exact zeros (see
-    :func:`~gaussphase.symplectic._flushed`), so that products with S do
-    not run on subnormal numbers.
+    A non-finite ``t``, or one so large that S overflows, raises ValueError
+    without a warning.  Entries of S below 2^-500 max|S| are stored as exact
+    zeros (see :func:`~gaussphase.symplectic._flushed`), so that products
+    with S do not run on subnormal numbers.
     """
     _finite(t, "t")
     omega_inv = make_symplectic_form(h.n_modes).omega.T
     dim = 2 * h.n_modes
     m = omega_inv @ h.f_bar
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if np.any(h.alpha):
-                aug = np.zeros((2 * dim, 2 * dim))
-                aug[:dim, :dim] = m
-                aug[:dim, dim:] = np.eye(dim)
-                e_aug = _expm(aug * t)
-                s = e_aug[:dim, :dim]
-                d = e_aug[:dim, dim:] @ (omega_inv @ h.alpha)
-            else:
-                s = _expm(m * t)
-                d = np.zeros(dim)
-    except FloatingPointError:
-        raise ValueError("s has non-finite entries") from None
-    return GaussianChannel(s=_flushed(s), d=d)
+    with _refusing_overflow(f"the channel of this Hamiltonian at t = {t}"):
+        if np.any(h.alpha):
+            aug = np.zeros((2 * dim, 2 * dim))
+            aug[:dim, :dim] = m
+            aug[:dim, dim:] = np.eye(dim)
+            e_aug = _expm(aug * t)
+            s = e_aug[:dim, :dim]
+            d = e_aug[:dim, dim:] @ (omega_inv @ h.alpha)
+        else:
+            s = _expm(m * t)
+            d = np.zeros(dim)
+        return GaussianChannel(s=_flushed(s), d=d)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -220,9 +219,10 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
             f"channel acts on {channel.n_modes} modes, state has {state.n_modes}"
         )
     s = channel.s
-    cov = s @ state.cov @ s.T
-    mean = s @ state.mean + channel.d
-    return _trusted_state(state.n_modes, mean, _flushed(0.5 * (cov + cov.T)))
+    with _refusing_overflow("the channel output"):
+        half = 0.5 * (s @ state.cov @ s.T)
+        mean = s @ state.mean + channel.d
+    return _trusted_state(state.n_modes, mean, _flushed(half + half.T))
 
 
 HamiltonianLike = Union[QuadraticHamiltonian, Callable[[float], QuadraticHamiltonian]]
@@ -272,13 +272,13 @@ def evolve_ode(
     mean = state.mean.copy()
     cov = state.cov.copy()
     time = 0.0
-    for _ in range(n_steps):
-        k1m, k1c = rhs(time, mean, cov)
-        k2m, k2c = rhs(time + step / 2, mean + step / 2 * k1m, cov + step / 2 * k1c)
-        k3m, k3c = rhs(time + step / 2, mean + step / 2 * k2m, cov + step / 2 * k2c)
-        k4m, k4c = rhs(time + step, mean + step * k3m, cov + step * k3c)
-        mean = mean + step / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        cov = cov + step / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-        time += step
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(n_modes=state.n_modes, mean=mean, cov=cov)
+    with _refusing_overflow(f"the moment equations up to t = {t}"):
+        for _ in range(n_steps):
+            k1m, k1c = rhs(time, mean, cov)
+            k2m, k2c = rhs(time + step / 2, mean + step / 2 * k1m, cov + step / 2 * k1c)
+            k3m, k3c = rhs(time + step / 2, mean + step / 2 * k2m, cov + step / 2 * k2c)
+            k4m, k4c = rhs(time + step, mean + step * k3m, cov + step * k3c)
+            mean = mean + step / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            cov = cov + step / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
+            time += step
+    return GaussianState(n_modes=state.n_modes, mean=mean, cov=cov)  # symmetrizes cov

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotPureError, UnphysicalStateError
 from .states import PHYSICALITY_TOL, GaussianState, partial_trace, purity
-from .symplectic import _finite
+from .symplectic import _finite, _refusing_overflow
 
 LogBase = Literal["e", "2"]
 
@@ -40,7 +40,6 @@ class EntropyResult:
 
 
 def _entropy_contribution(nu: np.ndarray, log_base: LogBase) -> np.ndarray:
-    nu = np.asarray(nu, dtype=float)
     out = np.zeros_like(nu)
     active = nu > 1.0 + _NU_ONE_MARGIN
     x = nu[active]
@@ -59,7 +58,8 @@ def entropy_from_spectrum(nu: Iterable[float], log_base: LogBase = "e") -> Entro
         raise UnphysicalStateError(
             f"symplectic eigenvalue {nu.min():.6g} < 1: entropy undefined"
         )
-    per_mode = _entropy_contribution(np.maximum(nu, 1.0), log_base)
+    with _refusing_overflow("the entropy of this spectrum"):
+        per_mode = _entropy_contribution(np.maximum(nu, 1.0), log_base)
     return EntropyResult(total=float(per_mode.sum()), per_mode=per_mode, log_base=log_base)
 
 
@@ -111,7 +111,8 @@ def tmsv_temperature(r: float, omega: float = 1.0) -> TmsvThermalParams:
     -2 artanh(e^-2r), since tanh r rounds to 1 from r ~ 19 on.
 
     Raises:
-        ValueError: if r < 0, omega <= 0 or either is not finite.
+        ValueError: if r < 0, omega <= 0 or either is not finite, or if
+            Z = cosh^2 r (from r ~ 355.6 on) or T overflows.
     """
     _finite(np.array([r, omega]), "(r, omega)")
     if r < 0:
@@ -120,8 +121,8 @@ def tmsv_temperature(r: float, omega: float = 1.0) -> TmsvThermalParams:
         raise ValueError("omega must be positive")
     if r == 0.0:
         return TmsvThermalParams(temperature=0.0, partition_function=1.0)
-    partition_function = math.cosh(r) ** 2  # OverflowError from r ~ 355.6 on
     log_tanh = math.log(math.tanh(r)) if r < 1.0 else -2.0 * math.atanh(math.exp(-2.0 * r))
-    return TmsvThermalParams(
-        temperature=float(-omega / (2.0 * log_tanh)), partition_function=partition_function
-    )
+    with _refusing_overflow(f"tmsv_temperature({r}, {omega})"):
+        partition_function = math.cosh(r) ** 2
+        temperature = float(np.float64(-omega) / (2.0 * log_tanh))  # numpy: overflow raises
+    return TmsvThermalParams(temperature=temperature, partition_function=partition_function)

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SelfCheckError, TruncationError
-from .symplectic import _checked, _expm, _finite, _symmetrized
+from .symplectic import _checked, _expm, _finite, _refusing_overflow, _symmetrized
 
 COHERENT_TAIL_TOL = 1e-12
 SQUEEZED_TAIL_TOL = 1e-12
 TMSV_TAIL_TOL = 1e-14
 THERMAL_TAIL_TOL = 1e-12
 _DISPLACEMENT_SELF_CHECK_TOL = 1e-9
-# largest |eta| whose square is a finite float
-_ETA_MAX = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -192,19 +190,12 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     """
     _check_dim(dim)
     _finite(eta, "eta")
-    if abs(eta) > _ETA_MAX:
-        raise ValueError(f"eta = {eta} is too large: |eta|^2 overflows")
     n = np.arange(dim)[:, None]
     m = np.arange(dim)[None, :]
     lo, ell = np.minimum(n, m), np.abs(n - m)
-    x = abs(eta) ** 2
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            ratios = _laguerre_ratios(dim, x)
-    except FloatingPointError:
-        raise ValueError(
-            f"eta = {eta} is too large for dim = {dim}: the Laguerre recurrence overflows"
-        ) from None
+    with _refusing_overflow(f"eta = {eta} at dim = {dim}"):
+        x = abs(eta) ** 2
+        ratios = _laguerre_ratios(dim, x)
     # l log|eta|, with 0 log 0 = 0 on the diagonal
     log_mag = ell * math.log(abs(eta)) if eta != 0 else np.where(ell == 0, 0.0, -np.inf)
     log_fact = _log_factorials(dim)

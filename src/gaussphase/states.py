@@ -14,33 +14,18 @@ symplectic eigenvalue is >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Complex
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, UnphysicalStateError
-from .symplectic import _checked, _finite, _symmetrized
+from .symplectic import _checked, _finite, _refusing_overflow, _symmetrized
 from .williamson import symplectic_spectrum
 
 PHYSICALITY_TOL = 1e-8
 PURITY_TOL = 1e-9
-# largest x with 2 e^x finite: covariance entries up to e^x survive the
-# (m + m^T)/2 of the constructor's symmetrization
-_LOG_HALF_MAX = float(np.log(np.finfo(float).max / 2))
-
-
-def _squeezing_in_range(r: float, growth: float) -> None:
-    """Raises ValueError unless r is finite and growth |r| <= _LOG_HALF_MAX,
-    so that e^{growth |r|}, which bounds every covariance entry of the
-    closed form, survives the constructor.  Called before that arithmetic,
-    so a refusal comes without an overflow warning."""
-    _finite(r, "r")
-    if growth * abs(r) > _LOG_HALF_MAX:
-        raise ValueError(
-            f"|r| = {abs(r):.6g} overflows the covariance (|r| <= {_LOG_HALF_MAX / growth:.8g})"
-        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +109,6 @@ class GaussianWignerParams:
 
     normalization: float
     cov_inv: np.ndarray
-    mean: np.ndarray = field(repr=False)
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -175,8 +159,9 @@ def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
     R(theta/2) diag(e^-2r, e^2r) R(theta/2)^T, whose entries do not cancel
     the way cosh 2r - sinh 2r does at large r.
     """
-    _squeezing_in_range(r, 2.0)
-    small, large = np.exp(-2 * r), np.exp(2 * r)
+    _finite(np.array([r, theta]), "squeezing (r, theta)")
+    with _refusing_overflow(f"squeezing r = {r}"):
+        small, large = np.exp(-2 * r), np.exp(2 * r)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     off = (small - large) * c * s
     cov = np.array([[small * c * c + large * s * s, off], [off, small * s * s + large * c * c]])
@@ -190,8 +175,9 @@ def two_mode_squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
     from -cos(theta) sinh(r) and -sin(theta) sinh(r).  Tracing out either
     mode leaves a thermal state with nu = cosh r.
     """
-    _squeezing_in_range(r, 1.0)
-    ch, sh = np.cosh(r), np.sinh(r)
+    _finite(np.array([r, theta]), "squeezing (r, theta)")
+    with _refusing_overflow(f"squeezing r = {r}"):
+        ch, sh = np.cosh(r), np.sinh(r)
     cs, sn = np.cos(theta) * sh, np.sin(theta) * sh
     cov = np.array(
         [
@@ -277,4 +263,4 @@ def gaussian_wigner_params(state: GaussianState) -> GaussianWignerParams:
         raise np.linalg.LinAlgError("covariance determinant is not positive")
     norm = float(np.exp(-state.n_modes * np.log(np.pi) - 0.5 * logdet))
     cov_inv = np.linalg.inv(state.cov)
-    return GaussianWignerParams(normalization=norm, cov_inv=cov_inv, mean=state.mean)
+    return GaussianWignerParams(normalization=norm, cov_inv=cov_inv)

@@ -10,15 +10,17 @@ inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 [[0, -1], [1, 0]].
 
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
-package, once.  :func:`_symmetrized` is the one symmetry (Hermiticity)
-check, with the one tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the
-package's one matrix exponential, and :func:`_flushed` stores the
-negligible entries of the matrices the dynamics layer creates as zeros.
+package, once, and :func:`_refusing_overflow` refuses every float overflow.
+:func:`_symmetrized` is the one symmetry (Hermiticity) check, with the one
+tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the package's one matrix
+exponential, and :func:`_flushed` stores the negligible entries of the
+matrices the dynamics layer creates as zeros.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +48,17 @@ def _checked(a, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     return a
 
 
+@contextmanager
+def _refusing_overflow(what: str):
+    """Refuses float overflow and invalid operations in its block, and any
+    OverflowError from ``math``, with one ValueError naming ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise ValueError(f"{what} gives non-finite values (float overflow)") from None
+
+
 def _n_modes(m, name: str) -> int:
     """Mode count n of a square matrix of size 2n; DimensionError otherwise."""
     shape = np.shape(m)
@@ -55,19 +68,20 @@ def _n_modes(m, name: str) -> int:
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """Returns (m + m^dag)/2 after checking that ``m`` is symmetric, or
+    """Returns m/2 + m^dag/2 after checking that ``m`` is symmetric, or
     Hermitian if complex, up to float noise.  ``m`` comes from
-    :func:`_checked`, so it is finite (a NaN would pass the test).
+    :func:`_checked`, so it is finite (a NaN would pass the test).  Halving
+    first is exact for normal floats, and no finite ``m`` overflows.
 
     Raises:
         ValueError: naming the matrix, if max|m - m^dag| exceeds
             SYMMETRY_TOL * max(1, max|m|).
     """
-    m_dag = m.conj().T
-    asym = np.max(np.abs(m - m_dag))
+    half = 0.5 * m
+    asym = 2.0 * float(np.max(np.abs(half - half.conj().T)))  # a float product: no warning
     if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} asymmetry {asym:.3e} exceeds tolerance")
-    return 0.5 * (m + m_dag)
+    return half + half.conj().T
 
 
 # entries below this fraction of the largest are stored as exact zeros
@@ -160,18 +174,20 @@ def check_symplectic(m: np.ndarray, form: SymplecticForm | None = None) -> Sympl
     Raises:
         DimensionError: if ``m`` is not square of even size, or does not
             match ``form``.
-        ValueError: if an entry of ``m`` is NaN or infinite.
+        ValueError: if an entry of ``m`` is NaN or infinite, or if
+            m Omega^-1 m^T overflows.
     """
     if form is None:
         form = make_symplectic_form(_n_modes(m, "m"))
     m = _checked(m, "m", form.omega.shape)
     omega_inv = form.omega.T
     m_omega_inv = m @ omega_inv
-    residual = float(np.max(np.abs(m_omega_inv @ m.T - omega_inv)))
     # Omega^-1 is a signed permutation, so |m Omega^-1| = |m| |Omega^-1|;
     # the scale is formed only when the absolute bound is exceeded
     tol = DEFAULT_SYMPLECTIC_TOL
-    ok = residual <= tol or residual <= tol * float(np.max(np.abs(m_omega_inv) @ np.abs(m).T))
+    with _refusing_overflow("m Omega^-1 m^T"):
+        residual = float(np.max(np.abs(m_omega_inv @ m.T - omega_inv)))
+        ok = residual <= tol or residual <= tol * float(np.max(np.abs(m_omega_inv) @ np.abs(m).T))
     return SymplecticCheck(ok, residual)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, GridAdequacyWarning
 from .states import GaussianState, gaussian_wigner_params
-from .symplectic import _checked, _finite
+from .symplectic import _checked, _finite, _refusing_overflow
 
 GRID_TOL = 1e-6
 N_MAX_LAGUERRE = 200
@@ -44,10 +44,10 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         bounds = np.array([self.q_min, self.q_max, self.p_min, self.p_max, self.hbar])
         _finite(bounds, "grid bounds and hbar")
-        if self.q_max <= self.q_min or self.p_max <= self.p_min:
+        with _refusing_overflow("grid span q_max - q_min or p_max - p_min"):
+            spans = bounds[[1, 3]] - bounds[[0, 2]]
+        if np.any(spans <= 0):  # a - b = 0 only if a = b, even for subnormal a - b
             raise ValueError("grid bounds must satisfy q_max > q_min and p_max > p_min")
-        with np.errstate(over="ignore"):
-            _finite(bounds[[1, 3]] - bounds[[0, 2]], "grid span q_max - q_min or p_max - p_min")
         if self.n_q < 2 or self.n_p < 2:
             raise ValueError("need at least 2 points per axis")
         if self.hbar <= 0:
@@ -140,16 +140,17 @@ def eval_gaussian(state: GaussianState, grid: PhaseSpaceGrid) -> WignerGrid:
     if state.n_modes != 1:
         raise DimensionError("grid evaluation supports single-mode states only")
     params = gaussian_wigner_params(state)
-    root_hbar = np.sqrt(grid.hbar)
-    dq = grid.q / root_hbar - state.mean[0]
-    dp = grid.p / root_hbar - state.mean[1]
-    m = params.cov_inv
-    exponent = (
-        m[0, 0] * dq[:, None] ** 2
-        + m[1, 1] * dp[None, :] ** 2
-        + 2.0 * m[0, 1] * dq[:, None] * dp[None, :]
-    )
-    values = (params.normalization / grid.hbar) * np.exp(-exponent)
+    with _refusing_overflow("the Gaussian Wigner function on this grid"):
+        root_hbar = np.sqrt(grid.hbar)
+        dq = grid.q / root_hbar - state.mean[0]
+        dp = grid.p / root_hbar - state.mean[1]
+        m = params.cov_inv
+        exponent = (
+            m[0, 0] * dq[:, None] ** 2
+            + m[1, 1] * dp[None, :] ** 2
+            + 2.0 * m[0, 1] * dq[:, None] * dp[None, :]
+        )
+        values = (params.normalization / grid.hbar) * np.exp(-exponent)
     _warn_if_inadequate(values, grid)
     return WignerGrid(grid=grid, values=values)
 
@@ -167,19 +168,20 @@ def eval_fock(n: int, grid: PhaseSpaceGrid) -> WignerGrid:
         raise ValueError("n must be a non-negative integer")
     if n > N_MAX_LAGUERRE:
         raise ValueError(f"n = {n} exceeds the stable range (n <= {N_MAX_LAGUERRE})")
-    x = 2.0 * (grid.q[:, None] ** 2 + grid.p[None, :] ** 2) / grid.hbar
-    damped_prev = np.exp(-0.5 * x)  # e^{-x/2} L_0
-    if n == 0:
-        lag = damped_prev
-    else:
-        damped = (1.0 - x) * damped_prev  # e^{-x/2} L_1
-        for k in range(1, n):
-            damped, damped_prev = (
-                ((2 * k + 1 - x) * damped - k * damped_prev) / (k + 1),
-                damped,
-            )
-        lag = damped
-    values = ((-1.0) ** n / (np.pi * grid.hbar)) * lag
+    with _refusing_overflow("the Fock Wigner function on this grid"):
+        x = 2.0 * (grid.q[:, None] ** 2 + grid.p[None, :] ** 2) / grid.hbar
+        damped_prev = np.exp(-0.5 * x)  # e^{-x/2} L_0
+        if n == 0:
+            lag = damped_prev
+        else:
+            damped = (1.0 - x) * damped_prev  # e^{-x/2} L_1
+            for k in range(1, n):
+                damped, damped_prev = (
+                    ((2 * k + 1 - x) * damped - k * damped_prev) / (k + 1),
+                    damped,
+                )
+            lag = damped
+        values = ((-1.0) ** n / (np.pi * grid.hbar)) * lag
     _warn_if_inadequate(values, grid)
     return WignerGrid(grid=grid, values=values)
 
@@ -204,8 +206,9 @@ class SampledWavefunction:
         _finite(np.array([self.x_min, self.x_max]), "sampling window")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
-        x = np.linspace(self.x_min, self.x_max, psi.size)
-        norm_sq = np.trapezoid(np.abs(psi) ** 2, x)
+        with _refusing_overflow("the norm of psi on the sampling window"):
+            x = np.linspace(self.x_min, self.x_max, psi.size)
+            norm_sq = np.trapezoid(np.abs(psi) ** 2, x)
         if norm_sq <= 0:
             raise ValueError("wavefunction has zero norm")
         object.__setattr__(self, "norm_deviation", float(abs(norm_sq - 1.0)))
@@ -233,17 +236,20 @@ def oscillator_eigenfunction(n: int, x: np.ndarray, hbar: float = 1.0) -> np.nda
     phi_{n+1} = sqrt(2/(n+1)) z phi_n - sqrt(n/(n+1)) phi_{n-1},
     z = x / sqrt(hbar), which is stable for the moderate n used here.
     """
-    z = np.asarray(x, dtype=float) / np.sqrt(hbar)
-    phi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z**2)
-    if n == 0:
-        return phi_prev / hbar**0.25
-    phi = np.sqrt(2.0) * z * phi_prev
-    for k in range(1, n):
-        phi, phi_prev = (
-            np.sqrt(2.0 / (k + 1)) * z * phi - np.sqrt(k / (k + 1.0)) * phi_prev,
-            phi,
-        )
-    return phi / hbar**0.25
+    if not hbar > 0:
+        raise ValueError("hbar must be positive")
+    with _refusing_overflow("z = x / sqrt(hbar)"):
+        z = np.asarray(x, dtype=float) / np.sqrt(hbar)
+        phi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z**2)
+        if n == 0:
+            return phi_prev / hbar**0.25
+        phi = np.sqrt(2.0) * z * phi_prev
+        for k in range(1, n):
+            phi, phi_prev = (
+                np.sqrt(2.0 / (k + 1)) * z * phi - np.sqrt(k / (k + 1.0)) * phi_prev,
+                phi,
+            )
+        return phi / hbar**0.25
 
 
 def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> WignerGrid:

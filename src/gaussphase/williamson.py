@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import ConditioningWarning, NotPositiveDefiniteError
 from .symplectic import (
-    SymplecticForm, _checked, _n_modes, _symmetrized, check_symplectic, make_symplectic_form
+    SymplecticForm, _checked, _n_modes, _refusing_overflow, _symmetrized, check_symplectic,
+    make_symplectic_form,
 )
 
 DEFAULT_WILLIAMSON_TOL = 1e-8
@@ -55,7 +56,7 @@ def _core(
     Raises:
         DimensionError: if ``f`` is not square of even dimension, or does
             not match ``form``.
-        ValueError: if ``f`` has non-finite entries or is not symmetric.
+        ValueError: if ``f`` has non-finite entries, is not symmetric or overflows Y.
         NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
     if form is None:
@@ -72,9 +73,10 @@ def _core(
             ConditioningWarning,
             stacklevel=3,
         )
-    f_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    y = f_inv_sqrt @ form.omega @ f_inv_sqrt
-    return f, form, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
+    with _refusing_overflow("the core F^(-1/2) Omega F^(-1/2) of f"):
+        f_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
+        y = f_inv_sqrt @ form.omega @ f_inv_sqrt
+        return f, form, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
 
 
 def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
@@ -153,14 +155,14 @@ def williamson_decompose(
     nu = _nu_from_iy(lam)
     v = _phase_fix(vecs[:, :n])
 
-    scale = np.sqrt(2.0 * nu)[:, None]
-    scaled_o = np.empty((2 * n, 2 * n))
-    scaled_o[0::2] = scale * v.imag.T
-    scaled_o[1::2] = scale * v.real.T
-    sigma = scaled_o @ f_inv_sqrt
-    diag_form = np.diag(np.repeat(nu, 2))
-
-    residual_diag = float(np.max(np.abs(sigma @ f @ sigma.T - diag_form)))
+    with _refusing_overflow("the Williamson form of f"):
+        scale = np.sqrt(2.0 * nu)[:, None]
+        scaled_o = np.empty((2 * n, 2 * n))
+        scaled_o[0::2] = scale * v.imag.T
+        scaled_o[1::2] = scale * v.real.T
+        sigma = scaled_o @ f_inv_sqrt
+        diag_form = np.diag(np.repeat(nu, 2))
+        residual_diag = float(np.max(np.abs(sigma @ f @ sigma.T - diag_form)))
     residual_sympl = check_symplectic(sigma, form).residual
     return WilliamsonDecomposition(
         nu=nu,

@@ -9,26 +9,37 @@ import numpy as np
 import pytest
 
 from gaussphase import (
+    ConditioningWarning,
     DimensionError,
     GaussPhaseError,
     GaussianChannel,
     GaussianState,
+    GridAdequacyWarning,
     LadderHamiltonian,
     QuadraticHamiltonian,
     SampledWavefunction,
     WignerGrid,
+    apply_channel,
     centered_grid,
     check_symplectic,
     coherent,
     entanglement_entropy,
+    entropy_from_spectrum,
+    eval_fock,
+    eval_gaussian,
+    evolve_ode,
     fock,
     generate_channel,
     make_symplectic_form,
+    oscillator_eigenfunction,
     rotation_hamiltonian,
+    squeeze_hamiltonian,
     squeezed_vacuum,
     symplectic_spectrum,
     thermal,
+    tmsv_temperature,
     two_mode_squeezed_vacuum,
+    vacuum,
     williamson_decompose,
 )
 
@@ -127,10 +138,34 @@ def _grid_axes(half_width):
 MAGNITUDE_SITES = {
     "squeezed-r": lambda r: squeezed_vacuum(r, 0.3).cov,
     "tmsv-r": lambda r: two_mode_squeezed_vacuum(r, 0.3).cov,
+    "thermal-nu": lambda nu: thermal(nu).cov,
+    "coherent-alpha": lambda alpha: coherent(alpha).mean,
     "grid-half_width": _grid_axes,
+    "eval_fock-half_width": lambda w: eval_fock(2, centered_grid(w, 5)).values,
+    "eval_fock-hbar": lambda hbar: eval_fock(1, centered_grid(5.0, 5, hbar=hbar)).values,
+    "eval_gaussian-half_width": lambda w: eval_gaussian(vacuum(1), centered_grid(w, 5)).values,
+    "eval_gaussian-hbar": lambda hbar: eval_gaussian(
+        vacuum(1), centered_grid(5.0, 5, hbar=hbar)
+    ).values,
+    "eval_gaussian-alpha": lambda alpha: eval_gaussian(coherent(alpha), centered_grid(5.0, 5)).values,
+    "oscillator_eigenfunction-x": lambda x: oscillator_eigenfunction(3, np.array([x])),
+    "wavefunction-window": lambda x: SampledWavefunction(-x, x, np.ones(5)).psi,
+    "channel-r": lambda r: generate_channel(squeeze_hamiltonian(r), 1.0).s,
+    "channel-t": lambda t: generate_channel(squeeze_hamiltonian(1.0), t).s,
+    "apply_channel-nu": lambda nu: apply_channel(
+        generate_channel(squeeze_hamiltonian(1.0), 1.0), thermal(nu)
+    ).cov,
+    "evolve_ode-nu": lambda nu: evolve_ode(rotation_hamiltonian(1), thermal(nu), 1.0, 0.5).cov,
+    "check_symplectic-scale": lambda a: [check_symplectic(a * np.eye(2)).residual],
+    "williamson-nu": lambda nu: williamson_decompose(nu * np.eye(2)).sigma,
+    "entropy-nu": lambda nu: entropy_from_spectrum([nu]).per_mode,
+    "displacement-eta": lambda eta: fock.displacement_matrix(eta, 10),
+    "tmsv_temperature-r": lambda r: [tmsv_temperature(r).partition_function],
+    "tmsv_temperature-omega": lambda omega: [tmsv_temperature(1.0, omega).temperature],
 }
-# 1e308 is finite, but a grid spanning [-1e308, 1e308] is not
-MAGNITUDES = [10.0**e for e in (1, -1, 10, -10, 100, -100, 300, -300)] + [1e308]
+# 1e308 is finite, but a grid spanning [-1e308, 1e308] is not; 5^2 / 1e-308
+# (a grid coordinate squared over hbar) is not either
+MAGNITUDES = [10.0**e for e in (1, -1, 10, -10, 100, -100, 300, -300)] + [1e308, 1e-308]
 
 
 @pytest.mark.parametrize("value", [s * m for m in MAGNITUDES for s in (1, -1)])
@@ -138,6 +173,9 @@ MAGNITUDES = [10.0**e for e in (1, -1, 10, -10, 100, -100, 300, -300)] + [1e308]
 def test_magnitude_gives_finite_values_or_typed_refusal(site, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # the intended warnings: a narrow grid, a nearly singular matrix
+        warnings.simplefilter("ignore", GridAdequacyWarning)
+        warnings.simplefilter("ignore", ConditioningWarning)
         try:
             result = MAGNITUDE_SITES[site](value)
         except (GaussPhaseError, ValueError):

@@ -678,6 +678,26 @@ def test_overflowing_squeezing_refused_without_warning(tmp_path, capsys, kind, r
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--fock", "2", "--qrange=-1e300:1e300", "--prange=-1e300:1e300"],
+        ["--coherent", "1e300"],
+    ],
+    ids=["fock-wide-grid", "coherent-far-mean"],
+)
+def test_overflowing_wigner_refused_without_warning(tmp_path, capsys, source):
+    # |q|^2 overflows on the grid, or (q - mean)^2 through the mean
+    out_path = tmp_path / "w.csv"
+    code, out, err = run(
+        capsys, "wigner", *source, "--nq", "3", "--np", "3", "--out", str(out_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "warning: " not in err
+    assert not out_path.exists()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["state", "make", "unknown-kind"])

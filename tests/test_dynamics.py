@@ -177,6 +177,11 @@ class TestGenerateChannel:
             with pytest.raises(ValueError, match="non-finite"):
                 generate_channel(ham, t)
 
+    def test_channel_keeps_its_symplectic_residual(self):
+        ch = generate_channel(squeeze_hamiltonian(3.0, 0.7), 1.0)
+        assert ch.residual == check_symplectic(ch.s).residual
+        assert GaussianChannel(np.eye(2), np.zeros(2)).residual == 0.0
+
 
 class TestApplyChannel:
     def test_squeeze_channel_on_vacuum(self):

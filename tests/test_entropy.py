@@ -192,3 +192,10 @@ class TestTmsvTemperature:
     def test_non_finite_input_rejected(self, r, omega):
         with pytest.raises(ValueError, match="non-finite"):
             tmsv_temperature(r, omega)
+
+    def test_overflowing_partition_function_refused(self):
+        # Z = cosh^2 r leaves the float range from r ~ 355.6 on; math.cosh
+        # and the float power raise OverflowError, refused as ValueError
+        assert np.isfinite(tmsv_temperature(355.0).partition_function)
+        with pytest.raises(ValueError, match="non-finite"):
+            tmsv_temperature(400.0)
