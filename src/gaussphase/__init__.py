@@ -43,7 +43,6 @@ from .states import (
     PhysicalityReport,
     PurityReport,
     coherent,
-    gaussian_wigner_params,
     partial_trace,
     physicality_check,
     purity,

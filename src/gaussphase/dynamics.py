@@ -16,6 +16,7 @@ quadrature form with :func:`ladder_to_quadrature`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -180,9 +181,9 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     """Exponentiates a quadratic Hamiltonian into a Gaussian channel.
 
     S = exp(Omega^-1 Fbar t) by the scaling-and-squaring Pade method of
-    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009); the
-    displacement is read off the augmented exponential
-    exp([[M, 1], [0, 0]] t), whose top-right block equals t * Phi(M t), so
+    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), applied
+    once to [[M t, Omega^-1 alpha t], [0, 0]], whose exponential is
+    [[S, d], [0, 1]] (the last column is t * Phi(M t) Omega^-1 alpha), so
     no inversion of M is needed.  A zero Fbar gives S = 1 exactly.
     A non-finite ``t``, or one so large that S overflows, raises ValueError
     without a warning.  Entries of S below 2^-500 max|S| are stored as exact
@@ -192,19 +193,19 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     _finite(t, "t")
     omega_inv = make_symplectic_form(h.n_modes).omega.T
     dim = 2 * h.n_modes
-    m = omega_inv @ h.f_bar
+    # filled and scaled in place: one (2n+1)-square input is alive in _expm
+    aug = np.zeros((dim + 1, dim + 1))
+    np.matmul(omega_inv, h.f_bar, out=aug[:dim, :dim])
+    aug[:dim, dim] = omega_inv @ h.alpha
     with _refusing_overflow(f"the channel of this Hamiltonian at t = {t}"):
-        if np.any(h.alpha):
-            aug = np.zeros((2 * dim, 2 * dim))
-            aug[:dim, :dim] = m
-            aug[:dim, dim:] = np.eye(dim)
-            e_aug = _expm(aug * t)
-            s = e_aug[:dim, :dim]
-            d = e_aug[:dim, dim:] @ (omega_inv @ h.alpha)
-        else:
-            s = _expm(m * t)
-            d = np.zeros(dim)
-        return GaussianChannel(s=_flushed(s), d=d)
+        aug *= t
+        # d is linear in the last column; scaled exactly to a 1-norm <= 1, the
+        # column cannot raise _expm's squaring count and cost S accuracy
+        shift = max(0, math.frexp(np.max(np.abs(aug[:dim, dim])))[1] + dim.bit_length())
+        aug[:dim, dim] = np.ldexp(aug[:dim, dim], -shift)
+        e_aug = _expm(aug)
+        d = np.ldexp(e_aug[:dim, dim], shift) + 0.0  # no -0.0 from the Pade solve
+        return GaussianChannel(s=_flushed(e_aug[:dim, :dim]), d=d)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:

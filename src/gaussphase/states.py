@@ -10,6 +10,10 @@ with X the dimensionless quadratures q = (a^dag + a)/sqrt(2),
 p = i (a^dag - a)/sqrt(2).  A matrix is an admissible covariance matrix of
 a physical state iff sigma + i Omega^-1 >= 0, equivalently iff every
 symplectic eigenvalue is >= 1.
+
+det sigma and sigma^-1 come from one Cholesky factor (:func:`_cholesky`).
+The constructor keeps its eigenvalue test: from squeezing r ~ 9.5 on, the
+two tests disagree in both directions.
 """
 
 from __future__ import annotations
@@ -96,19 +100,6 @@ class PhysicalityReport:
 
     min_symplectic_eigenvalue: float
     ok: bool
-
-
-@dataclass(frozen=True)
-class GaussianWignerParams:
-    """Pieces of the closed-form Gaussian Wigner function.
-
-    The Wigner function of the state is
-    W(xi) = normalization * exp(-(xi - mean)^T cov_inv (xi - mean))
-    in dimensionless quadratures, with normalization = 1 / (pi^n sqrt(det sigma)).
-    """
-
-    normalization: float
-    cov_inv: np.ndarray
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -220,21 +211,25 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     return _trusted_state(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
 
 
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of sigma = L L^T, behind det sigma and
+    sigma^-1; UnphysicalStateError if sigma is not positive definite."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise UnphysicalStateError("covariance matrix is not positive definite") from None
+
+
 def purity(state: GaussianState) -> PurityReport:
     """Purity 1 / prod(nu_i) = 1 / sqrt(det sigma).
 
-    The determinant comes from a Cholesky factor sigma = L L^T as
+    The determinant comes from the Cholesky factor of :func:`_cholesky` as
     exp(-sum log diag L), which neither overflows nor underflows.
 
     Raises:
-        UnphysicalStateError: if the covariance is not positive definite
-            (the Cholesky factorization fails).
+        UnphysicalStateError: if the covariance is not positive definite.
     """
-    try:
-        chol = np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError:
-        raise UnphysicalStateError("covariance matrix is not positive definite") from None
-    p = float(np.exp(-np.sum(np.log(np.diagonal(chol)))))
+    p = float(np.exp(-np.sum(np.log(np.diagonal(_cholesky(state.cov))))))
     return PurityReport(purity=p, is_pure=abs(p - 1.0) <= PURITY_TOL)
 
 
@@ -245,22 +240,3 @@ def physicality_check(state: GaussianState) -> PhysicalityReport:
     nu_min = float(state.symplectic_spectrum()[0])
     return PhysicalityReport(min_symplectic_eigenvalue=nu_min, ok=nu_min >= 1.0 - PHYSICALITY_TOL)
 
-
-def gaussian_wigner_params(state: GaussianState) -> GaussianWignerParams:
-    """Normalization and inverse covariance of the Gaussian Wigner function.
-
-    The normalization 1 / (pi^n sqrt(det sigma)) is formed from the
-    log-determinant, as exp(-n log pi - log det sigma / 2), so a
-    determinant beyond the float range (thermal(1e300) has 1e600) does not
-    overflow.
-
-    Raises:
-        numpy.linalg.LinAlgError: if the covariance determinant is not
-            positive.
-    """
-    sign, logdet = np.linalg.slogdet(state.cov)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("covariance determinant is not positive")
-    norm = float(np.exp(-state.n_modes * np.log(np.pi) - 0.5 * logdet))
-    cov_inv = np.linalg.inv(state.cov)
-    return GaussianWignerParams(normalization=norm, cov_inv=cov_inv)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, GridAdequacyWarning
-from .states import GaussianState, gaussian_wigner_params
+from .states import GaussianState, _cholesky
 from .symplectic import _checked, _finite, _refusing_overflow
 
 GRID_TOL = 1e-6
@@ -135,22 +135,20 @@ def eval_gaussian(state: GaussianState, grid: PhaseSpaceGrid) -> WignerGrid:
     """Samples the closed-form Gaussian Wigner function of a one-mode state.
 
     W(q, p) = exp(-xi^T sigma^-1 xi) / (pi sqrt(det sigma) hbar) with
-    xi = (q/sqrt(hbar) - mean_q, p/sqrt(hbar) - mean_p).
+    xi = (q/sqrt(hbar) - mean_q, p/sqrt(hbar) - mean_p).  With sigma = L L^T,
+    1/sqrt(det sigma) = exp(-sum log diag L), as in purity, and the exponent
+    is |y|^2 with L y = xi, one forward substitution over the grid axes.  A
+    covariance that is not positive definite raises UnphysicalStateError.
     """
     if state.n_modes != 1:
         raise DimensionError("grid evaluation supports single-mode states only")
-    params = gaussian_wigner_params(state)
+    chol = _cholesky(state.cov)
     with _refusing_overflow("the Gaussian Wigner function on this grid"):
+        peak = np.exp(-np.sum(np.log(np.diagonal(chol)))) / (np.pi * grid.hbar)
         root_hbar = np.sqrt(grid.hbar)
-        dq = grid.q / root_hbar - state.mean[0]
-        dp = grid.p / root_hbar - state.mean[1]
-        m = params.cov_inv
-        exponent = (
-            m[0, 0] * dq[:, None] ** 2
-            + m[1, 1] * dp[None, :] ** 2
-            + 2.0 * m[0, 1] * dq[:, None] * dp[None, :]
-        )
-        values = (params.normalization / grid.hbar) * np.exp(-exponent)
+        y1 = ((grid.q / root_hbar - state.mean[0]) / chol[0, 0])[:, None]
+        y2 = (grid.p[None, :] / root_hbar - state.mean[1] - chol[1, 0] * y1) / chol[1, 1]
+        values = peak * np.exp(-(y1**2 + y2**2))
     _warn_if_inadequate(values, grid)
     return WignerGrid(grid=grid, values=values)
 

@@ -181,3 +181,12 @@ def test_magnitude_gives_finite_values_or_typed_refusal(site, value):
         except (GaussPhaseError, ValueError):
             return
     assert np.isfinite(result).all()
+
+
+@pytest.mark.parametrize("site, value", [("entropy-nu", 1e308), ("thermal-nu", 1e308)])
+def test_representable_extreme_result_is_not_refused(site, value):
+    # the sweep above also accepts a typed refusal; these results are
+    # representable, so they must be returned (h(1e308) is about 709.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(MAGNITUDE_SITES[site](value)).all()

@@ -162,6 +162,29 @@ class TestGenerateChannel:
         ch = generate_channel(ham, t)
         assert np.max(np.abs(ch.d - oracle)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9, 1e12, 1e100, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_s_does_not_depend_on_alpha(self, n, scale):
+        # alpha sits in the last column of the one augmented exponential;
+        # S = exp(M t) must not move with it, and d stays linear in alpha
+        rng = np.random.default_rng(n)
+        f = rng.normal(size=(2 * n, 2 * n))
+        f = 0.5 * (f + f.T)
+        alpha = rng.normal(size=2 * n)
+        s0 = generate_channel(QuadraticHamiltonian(n_modes=n, f_bar=f), 0.7).s
+        d1 = generate_channel(QuadraticHamiltonian(n_modes=n, f_bar=f, alpha=alpha), 0.7).d
+        ch = generate_channel(QuadraticHamiltonian(n_modes=n, f_bar=f, alpha=scale * alpha), 0.7)
+        assert np.max(np.abs(ch.s - s0)) <= 1e-14 * np.max(np.abs(s0))
+        assert np.max(np.abs(ch.d - scale * d1)) <= 1e-14 * scale * np.max(np.abs(d1))
+
+    def test_zero_alpha_gives_positive_zero_d(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                f = rng.normal(size=(2 * n, 2 * n))
+                d = generate_channel(QuadraticHamiltonian(n_modes=n, f_bar=f + f.T), 0.5).d
+                assert np.array_equal(d, np.zeros(2 * n)) and not np.signbit(d).any()
+
     @pytest.mark.parametrize(
         "ham, t",
         [

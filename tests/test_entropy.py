@@ -72,6 +72,25 @@ def test_entropy_rejects_unphysical_spectrum():
         entropy_from_spectrum([0.5])
 
 
+@pytest.mark.parametrize(
+    "nu, expected",
+    [(1e15, 34.845629214350744), (1e17, 39.45079940033883), (1e308, 709.5030614616061)],
+)
+def test_large_nu_entropy_without_cancellation(nu, expected):
+    # h(nu) = log(nu/2) + 1 + O(1/nu^2); a difference of two nu log nu
+    # terms gives 36.0 at 1e15 and 0.0 at 1e17, and overflows at 1e308
+    total = entropy_from_spectrum([nu]).total
+    assert total == pytest.approx(expected, rel=1e-15)
+    assert total == pytest.approx(np.log(nu / 2) + 1, rel=1e-15)
+
+
+def test_entropy_matches_difference_form_at_moderate_nu():
+    nu = np.array([1.0 + 1e-11, 1.0 + 1e-6, 1.5, 2.0, 10.0, 1e3, 1e6])
+    up, dn = (nu + 1) / 2, (nu - 1) / 2
+    reference = up * np.log(up) - dn * np.log(dn)
+    assert np.allclose(entropy_from_spectrum(nu).per_mode, reference, rtol=1e-9, atol=0)
+
+
 def test_near_one_eigenvalue_contributes_zero():
     result = entropy_from_spectrum([1.0 + 1e-13])
     assert result.total == 0.0

@@ -8,9 +8,10 @@ from gaussphase import (
     DimensionError,
     GaussianState,
     UnphysicalStateError,
+    centered_grid,
     coherent,
+    eval_gaussian,
     fock,
-    gaussian_wigner_params,
     partial_trace,
     physicality_check,
     purity,
@@ -281,38 +282,51 @@ def test_small_asymmetry_symmetrized():
     assert state.cov[0, 1] == state.cov[1, 0]
 
 
-def test_wigner_params_vacuum():
-    params = gaussian_wigner_params(vacuum(1))
-    assert params.normalization == pytest.approx(1.0 / np.pi)
-    assert np.allclose(params.cov_inv, np.eye(2))
+def _origin_peak(state, half_width=5.0):
+    """eval_gaussian at the grid's centre (the state's mean) and the purity."""
+    values = eval_gaussian(state, centered_grid(half_width, 5)).values
+    return values[2, 2], purity(state).purity
 
 
-def test_wigner_params_thermal():
-    params = gaussian_wigner_params(thermal(2.0))
-    assert params.normalization == pytest.approx(1.0 / (2.0 * np.pi))
+def test_vacuum_peak_and_purity():
+    peak, mu = _origin_peak(vacuum(1))
+    assert peak == pytest.approx(1.0 / np.pi, rel=1e-15)
+    assert mu == 1.0
+
+
+def test_thermal_peak_and_purity():
+    peak, mu = _origin_peak(thermal(2.0), half_width=12.0)
+    assert peak == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-15)
+    assert mu == pytest.approx(0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("nu", [1e150, 1e300])
-def test_wigner_params_normalization_beyond_float_determinant(nu):
-    # det sigma = nu^2 overflows at nu = 1e300, the normalization does not;
-    # exp(-log pi - log det / 2) carries a relative error of eps |log det| / 2
+def test_peak_and_purity_beyond_float_determinant(nu):
+    # det sigma = nu^2 overflows at nu = 1e300, the peak and the purity do
+    # not; exp(-sum log diag L) carries a relative error of eps |log det| / 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        params = gaussian_wigner_params(thermal(nu))
-    assert params.normalization == pytest.approx(1.0 / (np.pi * nu), rel=1e-13)
+        values = eval_gaussian(thermal(nu), centered_grid(10.0 * np.sqrt(nu), 5)).values
+        mu = purity(thermal(nu)).purity
+    assert values[2, 2] == pytest.approx(1.0 / (np.pi * nu), rel=1e-13)
+    assert values[1, 2] == pytest.approx(np.exp(-25.0) / (np.pi * nu), rel=1e-13)
+    assert mu == pytest.approx(1.0 / nu, rel=1e-13)
 
 
-def test_wigner_params_refuse_non_positive_determinant():
+def test_peak_and_purity_refuse_non_positive_definite():
     # the constructor refuses such a covariance; channel outputs and partial
     # traces skip it and can be indefinite in floats
     state = _trusted_state(1, np.zeros(2), np.diag([1.0, -1.0]))
-    with pytest.raises(np.linalg.LinAlgError, match="determinant is not positive"):
-        gaussian_wigner_params(state)
+    with pytest.raises(UnphysicalStateError, match="not positive definite"):
+        eval_gaussian(state, centered_grid(5.0, 5))
+    with pytest.raises(UnphysicalStateError, match="not positive definite"):
+        purity(state)
 
 
-def test_wigner_params_squeezed_normalization():
-    params = gaussian_wigner_params(squeezed_vacuum(1.3, 0.4))
-    assert params.normalization == pytest.approx(1.0 / np.pi)
+def test_squeezed_peak_and_purity():
+    peak, mu = _origin_peak(squeezed_vacuum(1.3, 0.4), half_width=40.0)
+    assert peak == pytest.approx(1.0 / np.pi, rel=1e-13)
+    assert mu == pytest.approx(1.0, rel=1e-13)
 
 
 def test_squeezed_vacuum_large_r_constructs():
