@@ -52,7 +52,7 @@ from .states import (
     two_mode_squeezed_vacuum,
     vacuum,
 )
-from .symplectic import SymplecticForm, check_symplectic, make_symplectic_form
+from .symplectic import check_symplectic, make_symplectic_form
 from .wigner import (
     PhaseSpaceGrid,
     SampledWavefunction,

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import dynamics, entropy, states, wigner, williamson
 from .errors import DimensionError, NoGroundStateError, NotPureError, UnphysicalStateError
+from .symplectic import _refusing_overflow
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -293,9 +294,13 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
 
 def cmd_coupled_example(args) -> dict:
     m, omega, lam = args.m, args.omega, args.lam
-    if m <= 0 or omega <= 0:
-        raise FileFormatError("m and omega must be positive")
-    stiffness = 1.0 + 4.0 * lam / (m * omega**2)
+    # a NaN fails every comparison, so it is refused here too
+    if not (0 < m < np.inf and 0 < omega < np.inf):
+        raise FileFormatError("m and omega must be positive and finite")
+    if not np.isfinite(lam):
+        raise FileFormatError("lambda must be finite")
+    with _refusing_overflow("m omega^2"):
+        stiffness = 1.0 + 4.0 * lam / (m * omega**2)
     if stiffness <= 0:
         raise NoGroundStateError(
             f"coupling lambda={lam} destabilizes the system (1 + 4 lambda/(m omega^2) <= 0)"

@@ -191,7 +191,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     with S do not run on subnormal numbers.
     """
     _finite(t, "t")
-    omega_inv = make_symplectic_form(h.n_modes).omega.T
+    omega_inv = make_symplectic_form(h.n_modes).T
     dim = 2 * h.n_modes
     # filled and scaled in place: one (2n+1)-square input is alive in _expm
     aug = np.zeros((dim + 1, dim + 1))
@@ -255,7 +255,7 @@ def evolve_ode(
     if t == 0:
         return state
     h_of_t = h if callable(h) else (lambda _t: h)
-    omega_inv = make_symplectic_form(state.n_modes).omega.T
+    omega_inv = make_symplectic_form(state.n_modes).T
 
     def rhs(time, mean, cov):
         ht = h_of_t(time)

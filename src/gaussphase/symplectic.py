@@ -7,7 +7,8 @@ which the CLI converts to pairwise order on load.
 
 The symplectic matrix Omega is antisymmetric with Omega^2 = -1, and its
 inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
-[[0, -1], [1, 0]].
+[[0, -1], [1, 0]].  :func:`make_symplectic_form` returns it as a plain
+read-only array, whose shape (2n, 2n) carries the mode count.
 
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
 package, once, and :func:`_refusing_overflow` refuses every float overflow.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -119,21 +119,9 @@ def _flushed(m: np.ndarray) -> np.ndarray:
     return m * (mag >= _FLUSH_RATIO * mag.max())
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Symplectic matrix Omega for n modes; its inverse is omega.T.
-
-    Attributes:
-        n_modes: number of bosonic modes (phase space dimension is 2n).
-        omega: the 2n x 2n symplectic matrix.
-    """
-
-    n_modes: int
-    omega: np.ndarray
-
-
-def make_symplectic_form(n_modes: int) -> SymplecticForm:
-    """Builds Omega for the requested mode count."""
+def make_symplectic_form(n_modes: int) -> np.ndarray:
+    """Omega for the requested mode count, as a read-only 2n x 2n array;
+    its inverse is its transpose."""
     if n_modes < 1:
         raise DimensionError(f"n_modes must be >= 1, got {n_modes}")
     n = n_modes
@@ -143,7 +131,7 @@ def make_symplectic_form(n_modes: int) -> SymplecticForm:
     flat[1 :: 4 * n + 2] = -1.0
     flat[2 * n :: 4 * n + 2] = 1.0
     omega.setflags(write=False)
-    return SymplecticForm(n_modes=n, omega=omega)
+    return omega
 
 
 class SymplecticCheck(NamedTuple):
@@ -151,7 +139,7 @@ class SymplecticCheck(NamedTuple):
     residual: float
 
 
-def check_symplectic(m: np.ndarray, form: SymplecticForm | None = None) -> SymplecticCheck:
+def check_symplectic(m: np.ndarray, form: np.ndarray | None = None) -> SymplecticCheck:
     """Tests whether a matrix preserves the symplectic form.
 
     Computes the max-norm residual || m Omega^-1 m^T - Omega^-1 || and
@@ -165,8 +153,8 @@ def check_symplectic(m: np.ndarray, form: SymplecticForm | None = None) -> Sympl
 
     Args:
         m: real, finite square matrix of even dimension 2n.
-        form: symplectic form to test against; built on the fly from the
-            matrix dimension when omitted.
+        form: the matrix Omega of :func:`make_symplectic_form` to test
+            against; built from the dimension of ``m`` when omitted.
 
     Returns:
         SymplecticCheck(ok, residual).
@@ -179,8 +167,8 @@ def check_symplectic(m: np.ndarray, form: SymplecticForm | None = None) -> Sympl
     """
     if form is None:
         form = make_symplectic_form(_n_modes(m, "m"))
-    m = _checked(m, "m", form.omega.shape)
-    omega_inv = form.omega.T
+    m = _checked(m, "m", form.shape)
+    omega_inv = form.T
     m_omega_inv = m @ omega_inv
     # Omega^-1 is a signed permutation, so |m Omega^-1| = |m| |Omega^-1|;
     # the scale is formed only when the absolute bound is exceeded

@@ -168,18 +168,13 @@ def eval_fock(n: int, grid: PhaseSpaceGrid) -> WignerGrid:
         raise ValueError(f"n = {n} exceeds the stable range (n <= {N_MAX_LAGUERRE})")
     with _refusing_overflow("the Fock Wigner function on this grid"):
         x = 2.0 * (grid.q[:, None] ** 2 + grid.p[None, :] ** 2) / grid.hbar
-        damped_prev = np.exp(-0.5 * x)  # e^{-x/2} L_0
-        if n == 0:
-            lag = damped_prev
-        else:
-            damped = (1.0 - x) * damped_prev  # e^{-x/2} L_1
-            for k in range(1, n):
-                damped, damped_prev = (
-                    ((2 * k + 1 - x) * damped - k * damped_prev) / (k + 1),
-                    damped,
-                )
-            lag = damped
-        values = ((-1.0) ** n / (np.pi * grid.hbar)) * lag
+        damped, damped_prev = np.exp(-0.5 * x), 0.0  # e^{-x/2} L_0, and L_{-1} = 0
+        for k in range(n):
+            damped, damped_prev = (
+                ((2 * k + 1 - x) * damped - k * damped_prev) / (k + 1),
+                damped,
+            )
+        values = ((-1.0) ** n / (np.pi * grid.hbar)) * damped
     _warn_if_inadequate(values, grid)
     return WignerGrid(grid=grid, values=values)
 
@@ -204,12 +199,21 @@ class SampledWavefunction:
         _finite(np.array([self.x_min, self.x_max]), "sampling window")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        # the exact power of two 2^-e brings the largest real or imaginary part into
+        # [1/2, 1): |psi|^2 neither overflows nor underflows, and 2^-e cancels below
+        parts = np.ascontiguousarray(psi).view(float)
+        e = math.frexp(float(np.max(np.abs(parts))))[1]
+        psi = np.ldexp(parts, -e).view(complex)
         with _refusing_overflow("the norm of psi on the sampling window"):
             x = np.linspace(self.x_min, self.x_max, psi.size)
             norm_sq = np.trapezoid(np.abs(psi) ** 2, x)
         if norm_sq <= 0:
             raise ValueError("wavefunction has zero norm")
-        object.__setattr__(self, "norm_deviation", float(abs(norm_sq - 1.0)))
+        try:
+            deviation = abs(math.ldexp(norm_sq, 2 * e) - 1.0)
+        except OverflowError:
+            deviation = math.inf
+        object.__setattr__(self, "norm_deviation", float(deviation))
         psi = psi / np.sqrt(norm_sq)
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
@@ -238,11 +242,8 @@ def oscillator_eigenfunction(n: int, x: np.ndarray, hbar: float = 1.0) -> np.nda
         raise ValueError("hbar must be positive")
     with _refusing_overflow("z = x / sqrt(hbar)"):
         z = np.asarray(x, dtype=float) / np.sqrt(hbar)
-        phi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z**2)
-        if n == 0:
-            return phi_prev / hbar**0.25
-        phi = np.sqrt(2.0) * z * phi_prev
-        for k in range(1, n):
+        phi, phi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z**2), 0.0  # phi_0, and phi_{-1} = 0
+        for k in range(n):
             phi, phi_prev = (
                 np.sqrt(2.0 / (k + 1)) * z * phi - np.sqrt(k / (k + 1.0)) * phi_prev,
                 phi,

@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import ConditioningWarning, NotPositiveDefiniteError
 from .symplectic import (
-    SymplecticForm, _checked, _n_modes, _refusing_overflow, _symmetrized, check_symplectic,
-    make_symplectic_form,
+    _checked, _n_modes, _refusing_overflow, _symmetrized, check_symplectic, make_symplectic_form,
 )
 
 DEFAULT_WILLIAMSON_TOL = 1e-8
@@ -46,9 +45,10 @@ _COND_FLOOR = 1e-12
 
 
 def _core(
-    f: np.ndarray, form: SymplecticForm | None
-) -> tuple[np.ndarray, SymplecticForm, np.ndarray, np.ndarray]:
-    """Validates F once and returns (F, form, F^(-1/2), Y).
+    f: np.ndarray, form: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validates F once and returns (F, Omega, F^(-1/2), Y); Omega is
+    ``form``, or is built from the size of ``f`` when ``form`` is None.
 
     The eigenvalues of the one eigh(F) are the positive-definiteness and
     conditioning check; its eigenvectors give the symmetric F^(-1/2).
@@ -59,9 +59,8 @@ def _core(
         ValueError: if ``f`` has non-finite entries, is not symmetric or overflows Y.
         NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
-    if form is None:
-        form = make_symplectic_form(_n_modes(f, "f"))
-    f = _symmetrized(_checked(f, "f", form.omega.shape), "f")
+    omega = make_symplectic_form(_n_modes(f, "f")) if form is None else form
+    f = _symmetrized(_checked(f, "f", omega.shape), "f")
     vals, vecs = np.linalg.eigh(f)
     if vals[0] <= 0:
         raise NotPositiveDefiniteError(
@@ -75,8 +74,8 @@ def _core(
         )
     with _refusing_overflow("the core F^(-1/2) Omega F^(-1/2) of f"):
         f_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        y = f_inv_sqrt @ form.omega @ f_inv_sqrt
-        return f, form, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
+        y = f_inv_sqrt @ omega @ f_inv_sqrt
+        return f, omega, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
 
 
 def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
@@ -91,7 +90,7 @@ def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
     return -1.0 / low
 
 
-def symplectic_spectrum(f: np.ndarray, form: SymplecticForm | None = None) -> np.ndarray:
+def symplectic_spectrum(f: np.ndarray, form: np.ndarray | None = None) -> np.ndarray:
     """Symplectic eigenvalues of a symmetric positive definite matrix.
 
     The eigenvalues of F Omega^-1 are +/- i*nu_i; they are read off the
@@ -135,7 +134,7 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
 
 
 def williamson_decompose(
-    f: np.ndarray, form: SymplecticForm | None = None
+    f: np.ndarray, form: np.ndarray | None = None
 ) -> WilliamsonDecomposition:
     """Symplectically diagonalizes a symmetric positive definite matrix.
 
@@ -143,14 +142,18 @@ def williamson_decompose(
     diagonalize the Hermitian matrix iY once for both the spectrum and the
     eigenvectors v_k of its negative eigenvalues -1/nu_k, and assemble
     Sigma = Fdiag^(1/2) O F^(-1/2) from the real orthogonal O with rows
-    sqrt(2) Im v_k, sqrt(2) Re v_k.
+    sqrt(2) Im v_k, sqrt(2) Re v_k.  The mode count n is len(f) / 2;
+    ``form`` is Omega from :func:`make_symplectic_form`, or None to build
+    it from n.
 
     Raises:
+        DimensionError: if ``f`` is not square of even size, or does not
+            match ``form``.
         ValueError: if ``f`` is not symmetric positive definite, or its iY
             spectrum does not pair up (see :func:`symplectic_spectrum`).
     """
-    f, form, f_inv_sqrt, y = _core(f, form)
-    n = form.n_modes
+    f, omega, f_inv_sqrt, y = _core(f, form)
+    n = len(f) // 2
     lam, vecs = np.linalg.eigh(1j * y)
     nu = _nu_from_iy(lam)
     v = _phase_fix(vecs[:, :n])
@@ -163,7 +166,7 @@ def williamson_decompose(
         sigma = scaled_o @ f_inv_sqrt
         diag_form = np.diag(np.repeat(nu, 2))
         residual_diag = float(np.max(np.abs(sigma @ f @ sigma.T - diag_form)))
-    residual_sympl = check_symplectic(sigma, form).residual
+    residual_sympl = check_symplectic(sigma, omega).residual
     return WilliamsonDecomposition(
         nu=nu,
         sigma=sigma,

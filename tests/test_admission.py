@@ -150,6 +150,7 @@ MAGNITUDE_SITES = {
     "eval_gaussian-alpha": lambda alpha: eval_gaussian(coherent(alpha), centered_grid(5.0, 5)).values,
     "oscillator_eigenfunction-x": lambda x: oscillator_eigenfunction(3, np.array([x])),
     "wavefunction-window": lambda x: SampledWavefunction(-x, x, np.ones(5)).psi,
+    "wavefunction-amplitude": lambda a: SampledWavefunction(-1.0, 1.0, a * np.ones(5)).psi,
     "channel-r": lambda r: generate_channel(squeeze_hamiltonian(r), 1.0).s,
     "channel-t": lambda t: generate_channel(squeeze_hamiltonian(1.0), t).s,
     "apply_channel-nu": lambda nu: apply_channel(
@@ -183,10 +184,19 @@ def test_magnitude_gives_finite_values_or_typed_refusal(site, value):
     assert np.isfinite(result).all()
 
 
-@pytest.mark.parametrize("site, value", [("entropy-nu", 1e308), ("thermal-nu", 1e308)])
+@pytest.mark.parametrize(
+    "site, value",
+    [
+        ("entropy-nu", 1e308),
+        ("thermal-nu", 1e308),
+        ("wavefunction-amplitude", 1e300),
+        ("wavefunction-amplitude", 1e-300),
+    ],
+)
 def test_representable_extreme_result_is_not_refused(site, value):
     # the sweep above also accepts a typed refusal; these results are
-    # representable, so they must be returned (h(1e308) is about 709.5)
+    # representable, so they must be returned (h(1e308) is about 709.5, and
+    # a constant psi of any amplitude normalizes to 1/sqrt(2) on [-1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(MAGNITUDE_SITES[site](value)).all()

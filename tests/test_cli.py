@@ -629,6 +629,25 @@ class TestCoupledExample:
             (1 + expected_alpha) / (2 * np.sqrt(expected_alpha)), abs=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--m", v) for v in ("0", "-1", "nan", "inf")]
+        + [("--omega", v) for v in ("0", "nan", "inf")]
+        + [("--lambda", v) for v in ("nan", "inf")],
+    )
+    def test_non_finite_or_non_positive_parameter_is_a_usage_error(self, capsys, option, value):
+        code, out, err = run(capsys, "coupled-example", "--lambda", "1", f"{option}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "warning: " not in err
+
+    def test_overflowing_frequency_is_refused(self, capsys):
+        # omega^2 overflows: a typed refusal, not a traceback
+        code, out, err = run(capsys, "coupled-example", "--lambda", "1", "--omega", "1e200")
+        assert code == 3
+        assert out == ""
+        assert "float overflow" in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -51,7 +51,7 @@ def test_nilpotent_augmented_generator_keeps_exact_identity_block():
 
 
 def test_rotation_generator_matches_cos_sin():
-    omega_inv = make_symplectic_form(3).omega.T
+    omega_inv = make_symplectic_form(3).T
     for t in (0.1, 1.0, 2.0, 40.0):
         expected = np.cos(t) * np.eye(6) + np.sin(t) * omega_inv
         assert np.max(np.abs(_expm(t * omega_inv) - expected)) < 1e-13 * max(1.0, t)
@@ -66,7 +66,7 @@ def test_squeeze_generators_match_closed_form(r, theta, two_mode):
     # M = Omega^-1 Fbar squares to rho^2 times the identity (rho = r for one
     # mode, r/2 for two), so exp(M) = cosh(rho) 1 + sinh(rho)/rho M
     h = (two_mode_squeeze_hamiltonian if two_mode else squeeze_hamiltonian)(r, theta)
-    m = make_symplectic_form(h.n_modes).omega.T @ h.f_bar
+    m = make_symplectic_form(h.n_modes).T @ h.f_bar
     rho = r / 2 if two_mode else r
     eye = np.eye(len(m))
     expected = np.cosh(rho) * eye + (np.sinh(rho) / rho * m if rho > 0 else 0.0)

@@ -236,6 +236,14 @@ class TestSampledWavefunction:
         assert np.trapezoid(np.abs(psi.psi) ** 2, psi.x) == pytest.approx(1.0, abs=1e-12)
         assert psi.norm_deviation > 1.0  # the input was far from normalized
 
+    @pytest.mark.parametrize("amplitude", [1e200, 1e300, 1e-170, 1e-300])
+    def test_extreme_amplitude_normalizes(self, amplitude):
+        # |psi|^2 overflows or underflows, the normalized psi does not
+        psi = SampledWavefunction(x_min=-1.0, x_max=1.0, psi=amplitude * np.ones(5))
+        assert np.allclose(psi.psi, 2**-0.5, rtol=1e-15, atol=0)
+        # the input norm^2 is 2 a^2: infinite above 1e154, zero to double precision below 1e-162
+        assert psi.norm_deviation == (np.inf if amplitude > 1 else 1.0)
+
     def test_norm_deviation_is_computed_not_passed(self):
         with pytest.raises(TypeError):
             SampledWavefunction(x_min=0.0, x_max=1.0, psi=np.ones(5), norm_deviation=0.0)

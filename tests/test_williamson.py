@@ -192,7 +192,7 @@ def reference_spectrum(f):
     """Symplectic spectrum from the non-symmetric eigenvalues +/- i nu of
     F Omega^-1, paired by sorting their moduli."""
     form = make_symplectic_form(f.shape[0] // 2)
-    moduli = np.sort(np.abs(np.linalg.eigvals(f @ form.omega.T).imag))
+    moduli = np.sort(np.abs(np.linalg.eigvals(f @ form.T).imag))
     return moduli[0::2]
 
 
