@@ -169,10 +169,6 @@ def cmd_evolve(args) -> dict:
         ham = dynamics.two_mode_squeeze_hamiltonian(args.r, args.theta)
     else:  # rotate
         ham = dynamics.rotation_hamiltonian(state.n_modes)
-    if ham.n_modes != state.n_modes:
-        raise FileFormatError(
-            f"hamiltonian acts on {ham.n_modes} modes, state has {state.n_modes}"
-        )
     channel = dynamics.generate_channel(ham, args.time)
     if args.verbose:
         print(f"symplectic residual: {channel.residual:.3e}", file=sys.stderr)
@@ -299,20 +295,22 @@ def cmd_coupled_example(args) -> dict:
         raise FileFormatError("m and omega must be positive and finite")
     if not np.isfinite(lam):
         raise FileFormatError("lambda must be finite")
-    with _refusing_overflow("m omega^2"):
-        stiffness = 1.0 + 4.0 * lam / (m * omega**2)
+    kappa = lam / m / omega / omega  # lambda / (m omega^2), which never forms m omega^2
+    stiffness = 1.0 + 4.0 * kappa
     if stiffness <= 0:
         raise NoGroundStateError(
             f"coupling lambda={lam} destabilizes the system (1 + 4 lambda/(m omega^2) <= 0)"
         )
     alpha = float(np.sqrt(stiffness))
-    # pairwise (q1, p1, q2, p2) Hamiltonian matrix with explicit units
+    # F / omega, pairwise, in the units x = q sqrt(m omega), y = p / sqrt(m omega).
+    # That scaling D is symplectic and local: F's spectrum is omega times this one's,
+    # the entropies are the scaled ground state's, and its q, p covariance is D^-1 sigma' D^-1.
     f = np.array(
         [
-            [m * omega**2 + 2 * lam, 0.0, -2 * lam, 0.0],
-            [0.0, 1.0 / m, 0.0, 0.0],
-            [-2 * lam, 0.0, m * omega**2 + 2 * lam, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / m],
+            [1.0 + 2 * kappa, 0.0, -2 * kappa, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [-2 * kappa, 0.0, 1.0 + 2 * kappa, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
         ]
     )
     spectrum = williamson.symplectic_spectrum(f)
@@ -321,6 +319,11 @@ def cmd_coupled_example(args) -> dict:
     reduced = states.partial_trace(ground, [0])
     nu_reduced = float(reduced.symplectic_spectrum()[0])
     s_e = entropy.entanglement_entropy(ground, [0], args.base)
+    with _refusing_overflow("the spectrum or ground state in units of m and omega"):
+        spectrum = omega * spectrum
+        root = np.sqrt(m) * np.sqrt(omega)
+        d_inv = np.array([1.0 / root, root, 1.0 / root, root])
+        cov = ground.cov * d_inv[:, None] * d_inv
     return {
         "m": m,
         "omega": omega,
@@ -328,7 +331,7 @@ def cmd_coupled_example(args) -> dict:
         "alpha": alpha,
         "normal_frequencies": [omega, omega * alpha],
         "symplectic_spectrum_of_hamiltonian": spectrum.tolist(),
-        "ground_state_cov": ground.cov.tolist(),
+        "ground_state_cov": cov.tolist(),
         "nu_reduced": nu_reduced,
         "nu_reduced_formula": float((1.0 + alpha) / (2.0 * np.sqrt(alpha))),
         "entanglement_entropy": s_e.total,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionError, NoGroundStateError, NotPositiveDefiniteError
 from .states import GaussianState, _trusted_state
 from .symplectic import (
-    _checked, _expm, _finite, _flushed, _n_modes, _refusing_overflow, _symmetrized,
+    _checked, _expm, _finite, _flushed, _frozen, _n_modes, _refusing_overflow, _symmetrized,
     check_symplectic, make_symplectic_form,
 )
 from .williamson import williamson_decompose
@@ -43,10 +43,7 @@ class QuadraticHamiltonian:
         dim = 2 * self.n_modes
         f = _symmetrized(_checked(self.f_bar, "f_bar", (dim, dim)), "f_bar")
         a = _checked(np.zeros(dim) if self.alpha is None else self.alpha, "alpha", (dim,))
-        f.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "f_bar", f)
-        object.__setattr__(self, "alpha", a)
+        _frozen(self, f_bar=f, alpha=a)
 
 
 def normal_mode_ground_state(hamiltonian: QuadraticHamiltonian) -> GaussianState:
@@ -95,10 +92,7 @@ class LadderHamiltonian:
         n = self.n_modes
         w = _symmetrized(_checked(self.w, "w", (n, n), complex), "w")
         g = _checked(self.g, "g", (n, n), complex)
-        w.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "g", g)
+        _frozen(self, w=w, g=g)
 
 
 @dataclass(frozen=True)
@@ -117,11 +111,7 @@ class GaussianChannel:
         ok, residual = check_symplectic(s)
         if not ok:
             raise ValueError(f"s is not symplectic (residual {residual:.3e})")
-        s.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "residual", residual)
+        _frozen(self, s=s, d=d, residual=residual)
 
     @property
     def n_modes(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SelfCheckError, TruncationError
-from .symplectic import _checked, _expm, _finite, _refusing_overflow, _symmetrized
+from .symplectic import _checked, _expm, _finite, _frozen, _refusing_overflow, _symmetrized
 
 COHERENT_TAIL_TOL = 1e-12
 SQUEEZED_TAIL_TOL = 1e-12
@@ -50,9 +50,7 @@ class FockState:
         norm = np.linalg.norm(amp)
         if norm == 0:
             raise ValueError("state vector is zero")
-        amp = amp / norm
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        _frozen(self, amplitudes=amp / norm)
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,7 @@ class FockDensity:
             raise ValueError(f"density matrix trace {tr} != 1")
         if np.linalg.eigvalsh(rho)[0] < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-        rho.setflags(write=False)
-        object.__setattr__(self, "matrix", rho)
+        _frozen(self, matrix=rho)
 
 
 def _log_factorials(n: int) -> np.ndarray:

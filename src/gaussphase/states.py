@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, UnphysicalStateError
-from .symplectic import _checked, _finite, _refusing_overflow, _symmetrized
+from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _symmetrized
 from .williamson import symplectic_spectrum
 
 PHYSICALITY_TOL = 1e-8
@@ -58,10 +58,7 @@ class GaussianState:
         cov = _symmetrized(cov, "covariance matrix")
         if np.linalg.eigvalsh(cov)[0] <= 0:
             raise UnphysicalStateError("covariance matrix must be positive definite")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _frozen(self, mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:
@@ -75,15 +72,11 @@ def _trusted_state(n_modes: int, mean: np.ndarray, cov: np.ndarray) -> GaussianS
     """Builds a state from moments derived from already-validated states.
 
     Skips the constructor's checks: the caller guarantees a float mean and
-    an exactly symmetric covariance that no other object references.  The
-    arrays are frozen as the constructor would freeze them.
+    an exactly symmetric covariance that no other object references, so
+    the arrays are stored, read-only, without a copy.
     """
-    mean.setflags(write=False)
-    cov.setflags(write=False)
     state = object.__new__(GaussianState)
-    object.__setattr__(state, "n_modes", n_modes)
-    object.__setattr__(state, "mean", mean)
-    object.__setattr__(state, "cov", cov)
+    _frozen(state, n_modes=n_modes, mean=mean, cov=cov)
     return state
 
 

@@ -11,7 +11,8 @@ inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 read-only array, whose shape (2n, 2n) carries the mode count.
 
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
-package, once, and :func:`_refusing_overflow` refuses every float overflow.
+package, once, :func:`_frozen` stores a value object's fields as read-only
+arrays it owns, and :func:`_refusing_overflow` refuses every float overflow.
 :func:`_symmetrized` is the one symmetry (Hermiticity) check, with the one
 tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the package's one matrix
 exponential, and :func:`_flushed` stores the negligible entries of the
@@ -46,6 +47,19 @@ def _checked(a, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
         raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
     _finite(a, name)
     return a
+
+
+def _frozen(obj, **fields) -> None:
+    """Stores each field on the frozen dataclass ``obj``.  Every ndarray is
+    stored read-only, and one that shares memory with the value the caller
+    passed for that field is copied first, so that a value object owns its
+    arrays and never freezes or aliases a caller's."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            if np.may_share_memory(value, getattr(obj, name, None)):
+                value = value.copy()
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @contextmanager

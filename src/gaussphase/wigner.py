@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, GridAdequacyWarning
 from .states import GaussianState, _cholesky
-from .symplectic import _checked, _finite, _refusing_overflow
+from .symplectic import _checked, _finite, _frozen, _refusing_overflow
 
 GRID_TOL = 1e-6
 N_MAX_LAGUERRE = 200
@@ -108,8 +108,7 @@ class WignerGrid:
             raise ValueError(
                 f"|W| exceeds the bound 1/(pi hbar) = {bound:.6g} beyond tolerance"
             )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _frozen(self, values=vals)
 
 
 def _warn_if_inadequate(values: np.ndarray, grid: PhaseSpaceGrid) -> None:
@@ -213,10 +212,7 @@ class SampledWavefunction:
             deviation = abs(math.ldexp(norm_sq, 2 * e) - 1.0)
         except OverflowError:
             deviation = math.inf
-        object.__setattr__(self, "norm_deviation", float(deviation))
-        psi = psi / np.sqrt(norm_sq)
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
+        _frozen(self, psi=psi / np.sqrt(norm_sq), norm_deviation=float(deviation))
 
     @property
     def n_x(self) -> int:

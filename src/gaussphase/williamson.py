@@ -112,15 +112,14 @@ class WilliamsonDecomposition:
 
     Attributes:
         nu: symplectic eigenvalues, sorted ascending, length n.
-        sigma: the symplectic matrix Sigma with Sigma F Sigma^T = diag_form.
-        diag_form: direct sum of diag(nu_i, nu_i) blocks.
-        residual_diag: max-norm of Sigma F Sigma^T - diag_form.
+        sigma: the symplectic matrix Sigma with Sigma F Sigma^T = D, where
+            D = diag(nu_1, nu_1, ..., nu_n, nu_n) is not stored.
+        residual_diag: max-norm of Sigma F Sigma^T - D.
         residual_symplectic: max-norm of Sigma Omega^-1 Sigma^T - Omega^-1.
     """
 
     nu: np.ndarray
     sigma: np.ndarray
-    diag_form: np.ndarray
     residual_diag: float
     residual_symplectic: float
 
@@ -164,13 +163,13 @@ def williamson_decompose(
         scaled_o[0::2] = scale * v.imag.T
         scaled_o[1::2] = scale * v.real.T
         sigma = scaled_o @ f_inv_sqrt
-        diag_form = np.diag(np.repeat(nu, 2))
-        residual_diag = float(np.max(np.abs(sigma @ f @ sigma.T - diag_form)))
+        residual = sigma @ f @ sigma.T
+        residual[np.diag_indices(2 * n)] -= np.repeat(nu, 2)
+        residual_diag = float(np.max(np.abs(residual)))
     residual_sympl = check_symplectic(sigma, omega).residual
     return WilliamsonDecomposition(
         nu=nu,
         sigma=sigma,
-        diag_form=diag_form,
         residual_diag=residual_diag,
         residual_symplectic=residual_sympl,
     )

@@ -43,7 +43,7 @@ from gaussphase import (
     williamson_decompose,
 )
 
-E2, Z1, Z2 = np.eye(2), np.zeros((1, 1)), np.zeros(2)
+E2, Z1, Z2 = np.eye(2), np.zeros((1, 1), dtype=complex), np.zeros(2)
 
 # site -> (builder of one argument, a valid argument, a wrong-shaped one)
 ARRAY_SITES = {
@@ -78,6 +78,18 @@ ARRAY_SITES = {
     ),
     "coherent-alpha": (coherent, [0.5, 1j], [[0.5, 1j]]),
 }
+
+# the value objects, whose stored arrays are read-only
+VALUE_OBJECTS = (
+    GaussianState,
+    QuadraticHamiltonian,
+    LadderHamiltonian,
+    GaussianChannel,
+    WignerGrid,
+    SampledWavefunction,
+    fock.FockState,
+    fock.FockDensity,
+)
 
 # site -> (builder of one scalar, a valid scalar)
 SCALAR_SITES = {
@@ -127,6 +139,30 @@ def test_admission(build, arg, error, match):
             build(arg)
     # a shape fault is a DimensionError, a non-finite entry a plain ValueError
     assert (excinfo.type is DimensionError) == (error is DimensionError)
+
+
+def _stored_arrays(result):
+    """The arrays a site returns: an array result, or a record's array fields."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [v for v in getattr(result, "__dict__", {}).values() if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["array", "view"])
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_caller_array_is_neither_frozen_nor_aliased(site, as_view):
+    build, good, _ = ARRAY_SITES[site]
+    owner = given = np.array(good)
+    if as_view:  # every other entry of a larger array
+        owner = np.zeros(given.shape + (2,), dtype=given.dtype)
+        owner[..., 0] = given
+        given = owner[..., 0]
+    result = build(given)
+    assert given.flags.writeable and owner.flags.writeable
+    stored = _stored_arrays(result)
+    assert not any(np.may_share_memory(a, owner) for a in stored)
+    if isinstance(result, VALUE_OBJECTS):
+        assert stored and not any(a.flags.writeable for a in stored)
 
 
 def _grid_axes(half_width):

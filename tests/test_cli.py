@@ -641,9 +641,27 @@ class TestCoupledExample:
         assert out == ""
         assert err.startswith("error: ") and "warning: " not in err
 
+    @pytest.mark.parametrize("m, omega", [("1e200", "1e100"), ("1", "1e200")])
+    def test_extreme_units_are_accepted(self, capsys, m, omega):
+        # m omega^2 overflows, but kappa = lambda / (m omega^2) underflows to 0
+        # and every output is representable: two decoupled vacua
+        code, out, err = run(capsys, "coupled-example", "--lambda", "1", "--m", m, "--omega", omega)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["entanglement_entropy"] == 0.0
+        assert data["symplectic_spectrum_of_hamiltonian"] == pytest.approx([float(omega)] * 2, rel=1e-12)
+        # the scaling x = q sqrt(m omega), y = p / sqrt(m omega) gives the vacuum back
+        root = np.sqrt(float(m)) * np.sqrt(float(omega))
+        d = np.array([root, 1 / root, root, 1 / root])
+        scaled = np.asarray(data["ground_state_cov"]) * d[:, None] * d
+        assert np.allclose(scaled, np.eye(4), rtol=0.0, atol=1e-12)
+
     def test_overflowing_frequency_is_refused(self, capsys):
-        # omega^2 overflows: a typed refusal, not a traceback
-        code, out, err = run(capsys, "coupled-example", "--lambda", "1", "--omega", "1e200")
+        # the ground state's p variance m omega = 1e400 overflows: a typed
+        # refusal, not a traceback
+        code, out, err = run(
+            capsys, "coupled-example", "--lambda", "1", "--m", "1e200", "--omega", "1e200"
+        )
         assert code == 3
         assert out == ""
         assert "float overflow" in err
