@@ -18,6 +18,9 @@ omega for its dimensionful Hamiltonian.  State and Hamiltonian files are
 read with either ordering tag, ``"qpqp"`` (the default) or ``"qqpp"``, and
 converted to the pairwise order used in memory; states are written as
 ``"qpqp"``.
+
+Each subcommand imports the modules it runs, so a command loads only its
+own part of the package; ``fock``, the test oracle, never loads.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ import argparse
 import json
 import sys
 import warnings
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import dynamics, entropy, states, wigner, williamson
 from .errors import DimensionError, NoGroundStateError, NotPureError, UnphysicalStateError
 from .symplectic import _refusing_overflow
+
+if TYPE_CHECKING:
+    from . import dynamics, states, wigner
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,6 +94,8 @@ def state_to_dict(state: states.GaussianState, metadata: dict | None = None) -> 
 
 
 def state_from_dict(data: dict) -> states.GaussianState:
+    from . import states
+
     try:
         n_modes = int(data["n_modes"])
         mean = np.asarray(data["mean"], dtype=float)
@@ -113,6 +120,8 @@ def _json_dump(obj) -> str:
 
 
 def cmd_state_make(args) -> dict:
+    from . import states
+
     kind = args.kind
     metadata: dict = {"kind": kind}
     if kind == "vacuum":
@@ -145,6 +154,8 @@ def cmd_state_make(args) -> dict:
 
 
 def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
+    from . import dynamics
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -158,6 +169,8 @@ def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
 
 
 def cmd_evolve(args) -> dict:
+    from . import dynamics
+
     state = load_state(args.state)
     if (args.hamiltonian is None) == (args.builtin is None):
         raise FileFormatError("provide exactly one of --hamiltonian or --builtin")
@@ -178,6 +191,8 @@ def cmd_evolve(args) -> dict:
 
 
 def cmd_williamson(args) -> dict:
+    from . import williamson
+
     state = load_state(args.state)
     dec = williamson.williamson_decompose(state.cov)
     return {
@@ -191,6 +206,8 @@ def cmd_williamson(args) -> dict:
 
 
 def cmd_entropy(args) -> dict:
+    from . import entropy
+
     state = load_state(args.state)
     if args.subsystem is not None:
         try:
@@ -247,6 +264,8 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
 
 
 def cmd_wigner(args) -> tuple[str, dict | None]:
+    from . import states, wigner
+
     sources = [args.state is not None, args.fock is not None, args.coherent is not None]
     if sum(sources) != 1:
         raise FileFormatError("provide exactly one of STATE, --fock or --coherent")
@@ -289,6 +308,8 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
 
 
 def cmd_coupled_example(args) -> dict:
+    from . import dynamics, entropy, states, williamson
+
     m, omega, lam = args.m, args.omega, args.lam
     # a NaN fails every comparison, so it is refused here too
     if not (0 < m < np.inf and 0 < omega < np.inf):

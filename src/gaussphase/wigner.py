@@ -29,6 +29,14 @@ N_MAX_LAGUERRE = 200
 _BOUNDARY_LEAK = 1e-8
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """Read-only sample axis: a cached axis that a caller could edit would
+    change every later evaluation on its grid."""
+    axis = np.linspace(lo, hi, n)
+    axis.setflags(write=False)
+    return axis
+
+
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
     """Rectangular grid over one phase-space plane (q, p)."""
@@ -55,11 +63,11 @@ class PhaseSpaceGrid:
 
     @cached_property
     def q(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.n_q)
+        return _axis(self.q_min, self.q_max, self.n_q)
 
     @cached_property
     def p(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_p)
+        return _axis(self.p_min, self.p_max, self.n_p)
 
     @property
     def dq(self) -> float:
@@ -70,15 +78,20 @@ class PhaseSpaceGrid:
         return (self.p_max - self.p_min) / (self.n_p - 1)
 
     def matches(self, other: "PhaseSpaceGrid") -> bool:
-        return (
-            self.n_q == other.n_q
-            and self.n_p == other.n_p
-            and np.isclose(self.q_min, other.q_min)
-            and np.isclose(self.q_max, other.q_max)
-            and np.isclose(self.p_min, other.p_min)
-            and np.isclose(self.p_max, other.p_max)
-            and np.isclose(self.hbar, other.hbar)
-        )
+        """Same sample counts, hbar equal to a relative 1e-5 and each bound
+        equal to 1e-5 of its axis's span, so the test holds at every scale."""
+        tol_q = 1e-5 * max(self.q_max - self.q_min, other.q_max - other.q_min)
+        tol_p = 1e-5 * max(self.p_max - self.p_min, other.p_max - other.p_min)
+        with np.errstate(over="ignore"):  # a difference that overflows is inf: no match
+            return (
+                self.n_q == other.n_q
+                and self.n_p == other.n_p
+                and abs(self.q_min - other.q_min) <= tol_q
+                and abs(self.q_max - other.q_max) <= tol_q
+                and abs(self.p_min - other.p_min) <= tol_p
+                and abs(self.p_max - other.p_max) <= tol_p
+                and abs(self.hbar - other.hbar) <= 1e-5 * max(self.hbar, other.hbar)
+            )
 
 
 def centered_grid(half_width: float, n: int = 201, hbar: float = 1.0) -> PhaseSpaceGrid:
@@ -220,7 +233,7 @@ class SampledWavefunction:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_x)
+        return _axis(self.x_min, self.x_max, self.n_x)
 
     @property
     def dx(self) -> float:

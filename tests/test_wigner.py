@@ -162,6 +162,29 @@ class TestOverlap:
         with pytest.raises(DimensionError):
             overlap(w1, w2)
 
+    def test_small_scale_mismatch_rejected(self):
+        # absolute 1e-8 tolerances took these for one grid, and the overlap read 7.58
+        w1 = eval_gaussian(vacuum(1), centered_grid(1e-16, 5, hbar=1.05e-34))
+        w2 = eval_gaussian(vacuum(1), centered_grid(3e-16, 5, hbar=2.1e-34))
+        with pytest.raises(DimensionError):
+            overlap(w1, w2)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_matches_is_relative_at_every_scale(self, scale):
+        grid = centered_grid(3.0 * scale, 5, hbar=scale**2)
+        near = centered_grid(3.0 * scale * (1 + 1e-9), 5, hbar=scale**2 * (1 + 1e-9))
+        far_bounds = centered_grid(3.3 * scale, 5, hbar=scale**2)
+        far_hbar = centered_grid(3.0 * scale, 5, hbar=1.1 * scale**2)
+        assert grid.matches(near) and near.matches(grid)
+        assert not grid.matches(far_bounds) and not far_bounds.matches(grid)
+        assert not grid.matches(far_hbar) and not far_hbar.matches(grid)
+
+    def test_matches_refuses_bounds_whose_difference_overflows(self):
+        # numpy scalar bounds: an overflowing difference must neither warn nor match
+        low = PhaseSpaceGrid(np.float64(-1.7e308), np.float64(0.0), -1.0, 1.0, 3, 3)
+        high = PhaseSpaceGrid(np.float64(1.7e308), np.float64(1.79e308), -1.0, 1.0, 3, 3)
+        assert not low.matches(high) and not high.matches(low)
+
 
 class TestPurityAndBounds:
     def test_vacuum(self):
@@ -227,6 +250,19 @@ class TestWignerFromWavefunction:
         )
         with pytest.warns(GridAdequacyWarning):
             wigner_from_wavefunction(psi, centered_grid(6.0, 1001))
+
+
+class TestCachedAxes:
+    def test_axes_are_read_only(self):
+        # a writable cached axis let a caller change every later evaluation on its grid
+        grid = centered_grid(6.0, 41)
+        psi = sampled_eigenfunction(1)
+        before = [eval_fock(2, grid).values, wigner_from_wavefunction(psi, grid).values]
+        for axis in (grid.q, grid.p, psi.x):
+            with pytest.raises(ValueError, match="read-only"):
+                axis[0] = 0.0
+        after = [eval_fock(2, grid).values, wigner_from_wavefunction(psi, grid).values]
+        assert [v.tobytes() for v in after] == [v.tobytes() for v in before]
 
 
 class TestSampledWavefunction:
