@@ -182,6 +182,8 @@ def cmd_evolve(args) -> dict:
         ham = dynamics.two_mode_squeeze_hamiltonian(args.r, args.theta)
     else:  # rotate
         ham = dynamics.rotation_hamiltonian(state.n_modes)
+    if ham.n_modes != state.n_modes:  # before exponentiating, which may overflow first
+        raise DimensionError(f"channel acts on {ham.n_modes} modes, state has {state.n_modes}")
     channel = dynamics.generate_channel(ham, args.time)
     if args.verbose:
         print(f"symplectic residual: {channel.residual:.3e}", file=sys.stderr)

@@ -272,12 +272,22 @@ def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> 
     the trapezoid weights are symmetric, so the sum folds onto x >= 0:
     W = (dx / pi hbar) Re sum'_{x >= 0} conj(c(q, x)) e^{i p x / hbar},
     where the primed sum halves the first and last terms.  W is real by
-    construction.  The phase factors at x_k = k dx come by angle addition:
-    with k = a m + b and m = isqrt(n - 1) + 1 for n quadrature points,
-    e^{i p x_k / hbar} is the product of a coarse table over a and a fine
-    table over b, each about sqrt(n) exponentials per p, so no cos or sin
-    is evaluated on the full n x n_p table.  The sum is then one complex
-    matrix product over half the quadrature points.
+    construction.
+
+    Linear interpolation of psi is exact on its half-step lattice: the
+    samples with their midpoints between them.  The points q +- k dx / 2 of
+    one row sit on that lattice shifted by one fraction g of a step, so the
+    row's values of psi are one weighted sum of two contiguous lattice
+    slices.  A row takes only the terms up to its support, the last k with
+    both points inside the window; beyond it one factor is zero.
+
+    The phase factors at x_k = k dx come by angle addition: with k = a m + b
+    and m = isqrt(n - 1) + 1 for n quadrature points, e^{i p x_k / hbar} is
+    the product of a coarse table over a and a fine table over b, each about
+    sqrt(n) exponentials per p.  Each row then sums in two levels: its
+    correlation, reshaped to (blocks, m), times the fine table, scaled by
+    the coarse table and summed over the blocks.  Besides the result, a call
+    allocates O(n_x + sqrt(n_x) n_p) memory, none of it growing with n_q.
 
     The wavefunction should be sampled at least 4x finer than the grid's
     q spacing for the advertised accuracy; a warning is emitted otherwise.
@@ -292,26 +302,61 @@ def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> 
             stacklevel=2,
         )
     n_half = int(np.ceil((psi.x_max - psi.x_min) / psi.dx))
-    x_quad = np.arange(n_half + 1) * psi.dx
-    half_x = 0.5 * x_quad
-    plus = np.interp(grid.q[:, None] + half_x, psi.x, psi.psi, left=0.0, right=0.0)
-    # conj(c) = psi(q - x/2) conj(psi(q + x/2)), formed in place: at small
-    # grids fresh temporaries of this size cost more in page faults than in
-    # arithmetic
-    correl_conj = np.conj(plus, out=plus)
-    correl_conj *= np.interp(grid.q[:, None] - half_x, psi.x, psi.psi, left=0.0, right=0.0)
-    correl_conj[:, 0] *= 0.5  # trapezoid end weights
-    correl_conj[:, -1] *= 0.5
-
-    # e^{i p x_k / hbar} at x_k = (a m + b) dx as coarse(a) * fine(b), the
-    # first n of the ceil(n / m) * m rows
     n = n_half + 1
     m = math.isqrt(n - 1) + 1
+
+    # the half-step lattice, with one zero beyond each end
+    lattice = np.zeros(2 * psi.n_x + 1, complex)
+    lattice[1:-1:2] = psi.psi
+    lattice[2:-1:2] = 0.5 * (psi.psi[:-1] + psi.psi[1:])
+
+    # row q sits at lattice position h = 2 (q - x_min) / dx.  Rounding in h
+    # can miscount its support by one, so the last term is settled by the
+    # comparisons that put a point inside the window or outside it
+    q = grid.q
+    half_dx = 0.5 * psi.dx
+    position = (q - psi.x_min) / half_dx
+    support = np.floor(np.minimum(position, (psi.x_max - q) / half_dx))
+
+    def inside(k):
+        return (q - k * half_dx >= psi.x_min) & (q + k * half_dx <= psi.x_max)
+
+    support[inside(support + 1)] += 1
+    support[~inside(support)] -= 1
+
+    # e^{i p x_k / hbar} at x_k = (a m + b) dx is coarse(a) * fine(b)
     p_dx = grid.p * (psi.dx / grid.hbar)
-    coarse = np.exp(1j * np.outer(np.arange(-(-n // m)) * m, p_dx))
+    n_blocks = -(-n // m)
+    coarse = np.exp(1j * np.outer(np.arange(n_blocks) * m, p_dx))
     fine = np.exp(1j * np.outer(np.arange(m), p_dx))
-    phase = (coarse[:, None, :] * fine).reshape(-1, grid.n_p)[:n]
-    values = (correl_conj @ phase).real * (psi.dx / (np.pi * grid.hbar))
+
+    psi_buf = np.empty(2 * n_half + 1, complex)
+    correl_buf = np.empty(n_blocks * m, complex)
+    block_buf = np.empty_like(coarse)
+    values = np.empty((grid.n_q, grid.n_p))
+    floor = np.floor(position)
+    rows = support.astype(int).tolist(), floor.astype(int).tolist(), (position - floor).tolist()
+    for row, k, h0, g in zip(values, *rows):
+        # psi at the lattice positions h - k .. h + k, with h = h0 + g; lattice
+        # position i is at index i + 1
+        left = lattice[h0 - k + 1 : h0 + k + 2]
+        right = lattice[h0 - k + 2 : h0 + k + 3]
+        psi_row = np.subtract(right, left, out=psi_buf[: 2 * k + 1])
+        psi_row *= g
+        psi_row += left
+        # conj(c) at x_j = j dx is psi(q - x_j/2) conj(psi(q + x_j/2))
+        correl = np.conjugate(psi_row[k:], out=correl_buf[: k + 1])
+        correl *= psi_row[k::-1]
+        correl[0] *= 0.5  # trapezoid end weights
+        if k == n_half:
+            correl[k] *= 0.5
+        blocks = k // m + 1
+        correl_buf[k + 1 : blocks * m] = 0.0
+        segments = correl_buf[: blocks * m].reshape(blocks, m)
+        block = np.matmul(segments, fine, out=block_buf[:blocks])
+        block *= coarse[:blocks]
+        row[:] = block.sum(axis=0).real
+    values *= psi.dx / (np.pi * grid.hbar)
     _warn_if_inadequate(values, grid)
     return WignerGrid(grid=grid, values=values)
 

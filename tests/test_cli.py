@@ -153,6 +153,21 @@ class TestEvolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("time", ["1", "1e6"])
+    def test_dimension_mismatch_refused_before_exponentiating(
+        self, vac_file, tmp_path, capsys, time
+    ):
+        """At --time 1e6 the two-mode channel overflows, so only a mode check
+        made before exponentiating reports the mismatch; --verbose prints no
+        residual for a channel that is never built."""
+        out_path = tmp_path / "o.json"
+        argv = ["evolve", vac_file, "--builtin", "tms", "--r", "1", "--time", time]
+        code, out, err = run(capsys, *argv, "--verbose", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: channel acts on 2 modes, state has 1\n"
+        assert not out_path.exists()
+
     def test_unreadable_file_exit_code(self, capsys):
         code, _, _ = run(capsys, "evolve", "/nonexistent.json", "--builtin", "rotate", "--time", "1")
         assert code == 2

@@ -139,15 +139,25 @@ def superposition_on_grid(draw):
     return SampledWavefunction(x_min=-WINDOW, x_max=WINDOW, psi=samples), grid
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(superposition_on_grid())
-def test_half_range_transform_matches_full_range(case):
-    psi, grid = case
+def assert_matches_full_range(psi, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", GridAdequacyWarning)
         values = wigner_from_wavefunction(psi, grid).values
     bound = 1.0 / (np.pi * grid.hbar)
     assert np.max(np.abs(values - full_range_transform(psi, grid))) <= 1e-12 * bound
+
+
+def chirped_samples(n_x):
+    """A chirped, skewed wavefunction on [-8, 8], about 7e-3 at the edges."""
+    x = np.linspace(-WINDOW, WINDOW, n_x)
+    samples = (1.0 + 0.5j * x) * np.exp(-0.1 * x**2 + 0.7j * x)
+    return SampledWavefunction(x_min=-WINDOW, x_max=WINDOW, psi=samples)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(superposition_on_grid())
+def test_half_range_transform_matches_full_range(case):
+    assert_matches_full_range(*case)
 
 
 @pytest.mark.parametrize(
@@ -158,17 +168,44 @@ def test_half_range_transform_matches_full_range(case):
 def test_half_range_transform_matches_full_range_at_sample_count(n_x, hbar, p_max):
     """Sample counts around perfect squares cover every shape of the coarse
     and fine phase tables, including a truncated last coarse block."""
-    x = np.linspace(-WINDOW, WINDOW, n_x)
-    samples = (1.0 + 0.5j * x) * np.exp(-0.1 * x**2 + 0.7j * x)
-    psi = SampledWavefunction(x_min=-WINDOW, x_max=WINDOW, psi=samples)
     grid = PhaseSpaceGrid(
         q_min=-3.0, q_max=2.5, p_min=-p_max, p_max=p_max, n_q=7, n_p=9, hbar=hbar
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GridAdequacyWarning)
-        values = wigner_from_wavefunction(psi, grid).values
-    bound = 1.0 / (np.pi * grid.hbar)
-    assert np.max(np.abs(values - full_range_transform(psi, grid))) <= 1e-12 * bound
+    assert_matches_full_range(chirped_samples(n_x), grid)
+
+
+HALF_STEP = 2.0**-6  # half the step of 513 samples on [-8, 8]: every q below is exact
+
+
+def up(x):
+    return np.nextafter(x, np.inf)
+
+
+def down(x):
+    return np.nextafter(x, -np.inf)
+
+
+@pytest.mark.parametrize(
+    "n_x, q_min, q_max, n_q",
+    [
+        # end rows have support 1, the centre row the whole window
+        pytest.param(801, -WINDOW, WINDOW, 9, id="window"),
+        pytest.param(513, -4.0, 4.0, 9, id="whole-steps"),
+        pytest.param(513, -4.0 - HALF_STEP, 4.0 - HALF_STEP, 9, id="half-steps"),
+        pytest.param(513, down(-4.0 - HALF_STEP), up(4.0 - HALF_STEP), 2, id="ulp-out"),
+        pytest.param(513, up(-4.0 - HALF_STEP), down(4.0 - HALF_STEP), 2, id="ulp-in"),
+        pytest.param(513, up(-WINDOW), down(WINDOW), 2, id="ulp-in-window"),
+        # one ulp above a half step, where the rounded lattice position
+        # overstates the support by one
+        pytest.param(801, up(-8.0 + 807 * 0.01), up(-8.0 + 840 * 0.01), 2, id="ulp-rounded"),
+        pytest.param(17, -WINDOW, WINDOW, 40, id="n_q>n_x"),
+    ],
+)
+def test_half_range_transform_matches_full_range_at_edge_rows(n_x, q_min, q_max, n_q):
+    """Rows on a half step or one ulp off it, where a row's last term has its
+    point q +- k dx / 2 exactly on a window edge or one rounding away."""
+    grid = PhaseSpaceGrid(q_min=q_min, q_max=q_max, p_min=-5.0, p_max=5.0, n_q=n_q, n_p=9)
+    assert_matches_full_range(chirped_samples(n_x), grid)
 
 
 @st.composite

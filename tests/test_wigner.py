@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,18 @@ class TestWignerFromWavefunction:
         )
         with pytest.warns(GridAdequacyWarning):
             wigner_from_wavefunction(psi, centered_grid(6.0, 1001))
+
+    def test_peak_allocation_is_linear_in_sample_count(self):
+        # temporaries of n_q x n_x entries page-fault afresh on every call
+        psi = sampled_eigenfunction(1, x_half=6.5)  # 2601 samples
+        grid = PhaseSpaceGrid(q_min=-5.0, q_max=5.0, p_min=-5.0, p_max=5.0, n_q=61, n_p=13)
+        tracemalloc.start()
+        try:
+            wigner_from_wavefunction(psi, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * psi.n_x * 8
 
 
 class TestCachedAxes:
