@@ -19,8 +19,8 @@ _EXPORTS = {
     "entropy": """EntropyResult entanglement_entropy entropy_from_spectrum tmsv_temperature
         von_neumann_entropy""",
     "errors": """ConditioningWarning DimensionError GaussPhaseError GridAdequacyWarning
-        NoGroundStateError NotPositiveDefiniteError NotPureError SelfCheckError
-        TruncationError UnphysicalStateError""",
+        NoGroundStateError NotPositiveDefiniteError NotPureError TruncationError
+        UnphysicalStateError""",
     "fock": "",
     "states": """GaussianState PhysicalityReport PurityReport coherent partial_trace
         physicality_check purity squeezed_vacuum tensor thermal two_mode_squeezed_vacuum

@@ -39,11 +39,6 @@ class TruncationError(GaussPhaseError, ValueError):
     probability mass than the operation tolerates."""
 
 
-class SelfCheckError(GaussPhaseError, RuntimeError):
-    """Raised when a closed-form construction disagrees with the
-    independent numerical reference it is checked against."""
-
-
 class ConditioningWarning(UserWarning):
     """Warns about ill-conditioned inputs (near-singular matrices)."""
 

@@ -11,9 +11,8 @@ p = i (a^dag - a)/sqrt(2).  A matrix is an admissible covariance matrix of
 a physical state iff sigma + i Omega^-1 >= 0, equivalently iff every
 symplectic eigenvalue is >= 1.
 
-det sigma and sigma^-1 come from one Cholesky factor (:func:`_cholesky`).
-The constructor keeps its eigenvalue test: from squeezing r ~ 9.5 on, the
-two tests disagree in both directions.
+det sigma and sigma^-1 come from one Cholesky factor (:func:`_cholesky`),
+which is also the constructor's positive-definiteness test.
 """
 
 from __future__ import annotations
@@ -40,9 +39,11 @@ class GaussianState:
     Mean and covariance must be finite.  The covariance matrix is
     symmetrized on construction when its asymmetry is below
     ``symplectic.SYMMETRY_TOL`` (float noise) and rejected otherwise.  It
-    must be positive definite; full physicality (symplectic eigenvalues
-    >= 1) is checked separately by :func:`physicality_check` so that
-    diagnostic near-physical matrices remain representable.
+    must be positive definite in floats, that is, have the Cholesky factor
+    of :func:`_cholesky`, so every admitted state has a purity and a
+    Wigner function.  Full physicality (symplectic eigenvalues >= 1) is
+    checked separately by :func:`physicality_check` so that diagnostic
+    near-physical matrices remain representable.
     """
 
     n_modes: int
@@ -56,8 +57,7 @@ class GaussianState:
         mean = _checked(self.mean, "mean", (dim,))
         cov = _checked(self.cov, "covariance matrix", (dim, dim))
         cov = _symmetrized(cov, "covariance matrix")
-        if np.linalg.eigvalsh(cov)[0] <= 0:
-            raise UnphysicalStateError("covariance matrix must be positive definite")
+        _cholesky(cov)
         _frozen(self, mean=mean, cov=cov)
 
     @property

@@ -730,6 +730,19 @@ def test_overflowing_squeezing_refused_without_warning(tmp_path, capsys, kind, r
     assert not out_path.exists()
 
 
+def test_squeezed_state_without_cholesky_factor_refused(tmp_path, capsys):
+    # squeezed_vacuum(15, 0.3)'s float covariance has no Cholesky factor, so
+    # no file is written that `wigner` would refuse and `entropy` misjudge
+    out_path = tmp_path / "s15.json"
+    code, out, err = run(
+        capsys, "state", "make", "squeezed", "--r", "15", "--theta", "0.3", "--out", str(out_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: covariance matrix is not positive definite\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "source",
     [

@@ -3,10 +3,13 @@ import warnings
 import numpy as np
 import pytest
 from conftest import to_blockwise
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussphase import (
     DimensionError,
     GaussianState,
+    GridAdequacyWarning,
     UnphysicalStateError,
     centered_grid,
     coherent,
@@ -321,6 +324,32 @@ def test_peak_and_purity_refuse_non_positive_definite():
         eval_gaussian(state, centered_grid(5.0, 5))
     with pytest.raises(UnphysicalStateError, match="not positive definite"):
         purity(state)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(r=st.floats(0.0, 15.0), theta=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+@example(15.0, 0.3)
+def test_admitted_squeezed_state_has_peak_and_purity(r, theta):
+    # the constructor and purity / eval_gaussian share one positive
+    # definiteness test, so an admitted covariance always has a Cholesky
+    # factor; at (15, 0.3) an eigenvalue test admitted what Cholesky refuses
+    try:
+        state = squeezed_vacuum(r, theta)
+    except UnphysicalStateError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", GridAdequacyWarning)  # 5 points cannot resolve r = 15
+        purity(state)
+        try:
+            eval_gaussian(state, centered_grid(5.0, 5))
+        except ValueError as exc:
+            # from r ~ 7 the rounded sigma puts the peak 1/(pi sqrt(det sigma))
+            # above 1/pi by more than GRID_TOL (6e-5 at (7, 1)), which
+            # WignerGrid refuses; a verdict scaled with sigma's conditioning
+            # is still open
+            assert not isinstance(exc, UnphysicalStateError)
+            assert "exceeds the bound" in str(exc)
 
 
 def test_squeezed_peak_and_purity():
