@@ -241,8 +241,23 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
+    """The grid as CSV text: ``# key=value`` preamble lines, ``q,p,w``,
+    then one ``q,p,w`` line per grid point, q in the outer loop.
+
+    Every number is exactly Python's ``"%.17g"`` of the stored double.
+    The grid's lines are formatted by :mod:`gaussphase._gridcsv`, a few
+    grid rows at a time: the 17 digits come from a double-double product
+    with an exactly built power-of-ten scale, and only a value whose
+    rounding that product cannot settle (an exact decimal tie, or one
+    within 2**-40 of a tie) or a non-finite value goes through ``%`` on its
+    own.  Line breaks in ``descriptor`` are written as ``\\n`` and
+    ``\\r``, so that it stays on its preamble line.
+    """
+    from . import _gridcsv
+
     g = w.grid
-    lines = [
+    descriptor = descriptor.replace("\n", "\\n").replace("\r", "\\r")
+    preamble = [
         f"# state={descriptor}",
         f"# q_min={g.q_min:.17g}",
         f"# q_max={g.q_max:.17g}",
@@ -253,16 +268,7 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
         f"# hbar={g.hbar:.17g}",
         "q,p,w",
     ]
-    # each coordinate is formatted once, into a template that writes a whole
-    # row with one % over (q, v_0, q, v_1, ...); rows become Python floats
-    # one at a time, so the whole grid is never held as float objects
-    row_template = "%s" + "\n%s".join([f",{p:.17g},%.17g" for p in g.p.tolist()])
-    fields = [None] * (2 * g.n_p)
-    for q, row in zip(g.q.tolist(), w.values):
-        fields[::2] = [f"{q:.17g}"] * g.n_p
-        fields[1::2] = row.tolist()
-        lines.append(row_template % tuple(fields))
-    return "\n".join(lines)
+    return "".join(["\n".join(preamble), *_gridcsv.csv_lines(g.q, g.p, w.values)])
 
 
 def cmd_wigner(args) -> tuple[str, dict | None]:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gaussphase import (
     two_mode_squeezed_vacuum,
     vacuum,
 )
+from gaussphase import _gridcsv
 from gaussphase.cli import grid_to_csv, main, state_from_dict, state_to_dict
 from gaussphase.wigner import PhaseSpaceGrid, WignerGrid, eval_fock
 
@@ -573,19 +575,72 @@ def reference_csv(w, descriptor):
     return "\n".join(lines)
 
 
-def test_grid_to_csv_matches_per_element_formatting():
-    # subnormal and 17-digit bounds, and values with -0.0, subnormals and full mantissas
+def layout_values():
+    """Values for every layout of "%.17g": fixed notation for exponents -4
+    to 16 and scientific notation beyond, with two- and three-digit
+    exponents; 1 to 17 significant digits; both signs, -0.0, subnormals and
+    values with a point among the integer digits."""
+    digits = "12345678901234567"
+    values = [float(f"{digits[0]}.{digits[1:]}e{k}") for k in range(-7, 20)]
+    values += [float(digits[:n]) for n in range(1, 18)]  # 1 to 17 digits
+    values += [2.0**-j for j in range(1, 60)]  # 0.5 ... 1.7347234759768071e-18
+    values += [123.25, 1000.5, 12345678.125, 1e15 + 0.5, 1e22, 1e-100, 1.5e300, 5e-324, 2.0**-1074 * 7]
+    values += [1 / 3, 0.1, np.nextafter(0.2, 1.0), 2.2250738585072e-308, 0.0]
+    return np.array(values + [-v for v in values])
+
+
+def test_layout_values_cover_every_layout():
+    values = layout_values()
+    texts = ["%.17g" % v for v in values]
+    fixed = {math.floor(math.log10(abs(v))) for v, t in zip(values, texts) if v and "e" not in t}
+    exponents = {t.split("e")[1] for t in texts if "e" in t}
+    digit_counts = {len(t.lstrip("-").split("e")[0].replace(".", "").lstrip("0")) for t in texts}
+    assert fixed == set(range(-4, 17))
+    assert {"-05", "+17", "-100", "+300", "-324"} <= exponents
+    assert digit_counts >= set(range(1, 18))
+    assert {"-0", "0", "-123.25", "1000.5"} <= set(texts)
+
+
+@pytest.mark.parametrize(
+    "n_q, n_p",
+    [(5, 7), (37, 3), (2, 2), (_gridcsv.BLOCK_LINES // 5 + 1, 5), (2, _gridcsv.BLOCK_LINES + 1)],
+)
+def test_grid_to_csv_matches_per_element_formatting(n_q, n_p):
+    # subnormal and 17-digit bounds, and every layout of "%.17g" cycled over
+    # shapes whose last block of rows, or of columns, is partial; hbar = 1e-309
+    # puts the bound 1/(pi hbar) on |W| above every double
     grid = PhaseSpaceGrid(
-        q_min=-3e-310, q_max=1 / 3, p_min=-0.1, p_max=2.0**-1074 * 7, n_q=5, n_p=7, hbar=0.7
+        q_min=-3e-310, q_max=1 / 3, p_min=-0.1, p_max=2.0**-1074 * 7, n_q=n_q, n_p=n_p, hbar=1e-309
     )
-    rng = np.random.default_rng(5)
-    values = rng.uniform(-0.3, 0.3, size=(5, 7))
-    values[0, :4] = [-0.0, 0.0, 5e-324, -2.2250738585072e-308]
-    values[1, :3] = [0.1, -1 / 7, np.nextafter(0.2, 1.0)]
+    values = np.resize(layout_values(), (n_q, n_p))
+    values[-1, -1] = np.random.default_rng(5).uniform(-0.3, 0.3)  # a full mantissa
     w = WignerGrid(grid=grid, values=values)
     text = grid_to_csv(w, "pinned")
     assert text == reference_csv(w, "pinned")
-    assert ",-0\n" in text and "e-324\n" in text and "e-310," in text
+    if n_q * n_p > layout_values().size:
+        assert ",-0\n" in text and "e-324\n" in text and "e-310," in text
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r"])
+def test_line_break_in_state_path_stays_in_preamble(tmp_path, capsys, line_break):
+    state_path = tmp_path / f"a{line_break}b.json"
+    run(capsys, "state", "make", "vacuum", "--out", str(state_path))
+    out = tmp_path / "w.csv"
+    assert run(capsys, "wigner", str(state_path), "--nq", "3", "--np", "3", "--out", str(out))[0] == 0
+    lines = out.read_bytes().decode().split("\n")
+    escaped = "\\n" if line_break == "\n" else "\\r"
+    assert lines[0] == f"# state=state:{tmp_path}/a{escaped}b.json"
+    assert lines[1].startswith("# q_min=") and lines[8] == "q,p,w" and len(lines) == 9 + 9 + 1
+
+
+@pytest.mark.parametrize("amplitude", ["1+0.5i\n", "\r1-0.5i", "\n1+0i\r\n"])
+def test_line_break_in_coherent_amplitude_stays_in_preamble(tmp_path, capsys, amplitude):
+    out = tmp_path / "w.csv"
+    assert run(capsys, "wigner", "--coherent", amplitude, "--nq", "3", "--np", "3", "--out", str(out))[0] == 0
+    lines = out.read_bytes().decode().split("\n")
+    escaped = amplitude.replace("\n", "\\n").replace("\r", "\\r")
+    assert lines[0] == f"# state=coherent:{escaped}"
+    assert "\r" not in lines[0] and lines[8] == "q,p,w" and len(lines) == 9 + 9 + 1
 
 
 def test_grid_output_longer_than_write_slice_is_whole(capsys, tmp_path):

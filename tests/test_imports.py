@@ -212,8 +212,8 @@ STATE_MODULES = ["cli", "errors", "states", "symplectic", "williamson"]
         (["williamson", "{state}"], []),
         (["evolve", "{state}", "--builtin", "tms", "--r", "0.3", "--time", "1"], ["dynamics"]),
         (["entropy", "{state}", "--subsystem", "0"], ["entropy"]),
-        (["wigner", "--fock", "2", "--nq", "5", "--np", "5"], ["wigner"]),
-        (["wigner", "--coherent", "1+1i", "--nq", "5", "--np", "5", "--summary"], ["wigner"]),
+        (["wigner", "--fock", "2", "--nq", "5", "--np", "5"], ["wigner", "_gridcsv"]),
+        (["wigner", "--coherent", "1+1i", "--nq", "5", "--np", "5", "--summary"], ["wigner", "_gridcsv"]),
         (["coupled-example", "--lambda", "0.5"], ["dynamics", "entropy"]),
     ],
     ids=["state-make", "williamson", "evolve", "entropy", "wigner-fock", "wigner-coherent", "coupled"],
