@@ -250,13 +250,15 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
     with an exactly built power-of-ten scale, and only a value whose
     rounding that product cannot settle (an exact decimal tie, or one
     within 2**-40 of a tie) or a non-finite value goes through ``%`` on its
-    own.  Line breaks in ``descriptor`` are written as ``\\n`` and
-    ``\\r``, so that it stays on its preamble line.
+    own.  Every character at which ``str.splitlines`` breaks a line is
+    written escaped in ``descriptor`` (``\\n``, ``\\r``, ``\\x0b``, ...,
+    ``\\u2029``), so that it stays on its preamble line.
     """
     from . import _gridcsv
 
     g = w.grid
-    descriptor = descriptor.replace("\n", "\\n").replace("\r", "\\r")
+    breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # every one str.splitlines splits at
+    descriptor = descriptor.translate({ord(c): c.encode("unicode_escape").decode() for c in breaks})
     preamble = [
         f"# state={descriptor}",
         f"# q_min={g.q_min:.17g}",

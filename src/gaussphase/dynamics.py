@@ -3,11 +3,13 @@
 A quadratic Hamiltonian H = (1/2) X^T Fbar X + alpha^T X (Fbar symmetric)
 generates a Gaussian unitary whose phase-space action is the affine map
 
-    mean -> S mean + d,      cov -> S cov S^T,
+    mean -> S mean + d,      cov -> S cov S^T.
 
-with S(t) = exp(Omega^-1 Fbar t) and
-d(t) = t * Phi(Omega^-1 Fbar t) Omega^-1 alpha, where
-Phi(M) = sum_m M^m / (m+1)!  (so d is well defined for singular M).
+Every propagation is a channel built from one (2n+1)-square generator,
+A = [[Omega^-1 Fbar, Omega^-1 alpha], [0, 0]].  A constant H gives
+exp(A t) = [[S, d], [0, 1]] with S = exp(Omega^-1 Fbar t) and
+d = t Phi(Omega^-1 Fbar t) Omega^-1 alpha, Phi(M) = sum_m M^m / (m+1)!,
+which is defined for singular M.  An H(t) takes Magnus steps on A(t).
 
 The same Hamiltonian can be specified as a quadratic form of ladder
 operators, H = adag^T W a + adag^T G adag + a^T G^dag a, and converted to
@@ -167,35 +169,46 @@ def rotation_hamiltonian(n_modes: int = 1) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(n_modes=n_modes, f_bar=np.eye(2 * n_modes))
 
 
+def _generator(h: QuadraticHamiltonian, n_modes: int) -> np.ndarray:
+    """The generator [[Omega^-1 Fbar, Omega^-1 alpha], [0, 0]] of ``h``."""
+    if h.n_modes != n_modes:
+        raise DimensionError(f"hamiltonian acts on {h.n_modes} modes, state has {n_modes}")
+    omega_inv = make_symplectic_form(n_modes).T
+    aug = np.zeros((2 * n_modes + 1, 2 * n_modes + 1))
+    np.matmul(omega_inv, h.f_bar, out=aug[:-1, :-1])
+    aug[:-1, -1] = omega_inv @ h.alpha
+    return aug
+
+
+def _channel(e_aug: np.ndarray) -> GaussianChannel:
+    """The channel (S, d) of an exponential [[S, d], [0, 1]] of generators."""
+    return GaussianChannel(s=_flushed(e_aug[:-1, :-1]), d=e_aug[:-1, -1] + 0.0)  # no -0.0
+
+
 def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     """Exponentiates a quadratic Hamiltonian into a Gaussian channel.
 
-    S = exp(Omega^-1 Fbar t) by the scaling-and-squaring Pade method of
-    Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), applied
-    once to [[M t, Omega^-1 alpha t], [0, 0]], whose exponential is
-    [[S, d], [0, 1]] (the last column is t * Phi(M t) Omega^-1 alpha), so
-    no inversion of M is needed.  A zero Fbar gives S = 1 exactly.
-    A non-finite ``t``, or one so large that S overflows, raises ValueError
-    without a warning.  Entries of S below 2^-500 max|S| are stored as exact
-    zeros (see :func:`~gaussphase.symplectic._flushed`), so that products
-    with S do not run on subnormal numbers.
+    exp(A t) of the generator A (see the module docstring) by the
+    scaling-and-squaring Pade method of Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009), so d needs no inversion of Omega^-1 Fbar,
+    and a zero Fbar gives S = 1 exactly.  A non-finite ``t``, or one so
+    large that S overflows, raises ValueError without a warning.  Entries
+    of S below 2^-500 max|S| are stored as exact zeros (see
+    :func:`~gaussphase.symplectic._flushed`), so that products with S do
+    not run on subnormal numbers.
     """
     _finite(t, "t")
-    omega_inv = make_symplectic_form(h.n_modes).T
+    aug = _generator(h, h.n_modes)
     dim = 2 * h.n_modes
-    # filled and scaled in place: one (2n+1)-square input is alive in _expm
-    aug = np.zeros((dim + 1, dim + 1))
-    np.matmul(omega_inv, h.f_bar, out=aug[:dim, :dim])
-    aug[:dim, dim] = omega_inv @ h.alpha
     with _refusing_overflow(f"the channel of this Hamiltonian at t = {t}"):
-        aug *= t
+        aug *= t  # in place: one (2n+1)-square input is alive in _expm
         # d is linear in the last column; scaled exactly to a 1-norm <= 1, the
         # column cannot raise _expm's squaring count and cost S accuracy
         shift = max(0, math.frexp(np.max(np.abs(aug[:dim, dim])))[1] + dim.bit_length())
         aug[:dim, dim] = np.ldexp(aug[:dim, dim], -shift)
         e_aug = _expm(aug)
-        d = np.ldexp(e_aug[:dim, dim], shift) + 0.0  # no -0.0 from the Pade solve
-        return GaussianChannel(s=_flushed(e_aug[:dim, :dim]), d=d)
+        e_aug[:dim, dim] = np.ldexp(e_aug[:dim, dim], shift)
+        return _channel(e_aug)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -225,51 +238,36 @@ def evolve_ode(
     t: float,
     dt: float,
 ) -> GaussianState:
-    """Integrates the moment equations of motion with fixed-step RK4.
+    """Evolves ``state`` for a time ``t`` >= 0 under ``h``.
 
-        d(mean)/dt = Omega^-1 (Fbar mean + alpha)
-        d(cov)/dt  = (Omega^-1 Fbar) cov + cov (Omega^-1 Fbar)^T
-
-    Serves as an independent numerical check of :func:`generate_channel`
-    (agreement is O(dt^4)) and covers time-dependent Hamiltonians, passed
-    as a callable t -> QuadraticHamiltonian.
+    A constant Hamiltonian gives apply_channel(generate_channel(h, t),
+    state), and ``dt`` is not used.  A time-dependent one, a callable
+    t -> QuadraticHamiltonian, takes equal fourth-order Magnus steps of
+    length k <= ``dt``: with generators A1, A2 at the Gauss points
+    (1/2 -+ sqrt(3)/6) k of a step, it is exp(k/2 (A1 + A2) +
+    sqrt(3) k^2/12 [A2, A1]) (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+    151 (2009)).  The steps' product is applied as one channel, so a pure
+    state stays pure.
 
     Raises:
+        ValueError: if ``t`` or ``dt`` is not finite, ``dt`` <= 0 or ``t`` < 0.
         DimensionError: if the Hamiltonian (for a callable, each one it
             returns) does not act on the state's modes.
     """
+    _finite(np.array([t, dt]), "(t, dt)")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t < 0:
         raise ValueError("t must be non-negative")
-    if t == 0:
-        return state
-    h_of_t = h if callable(h) else (lambda _t: h)
-    omega_inv = make_symplectic_form(state.n_modes).T
-
-    def rhs(time, mean, cov):
-        ht = h_of_t(time)
-        if ht.n_modes != state.n_modes:
-            raise DimensionError(
-                f"hamiltonian acts on {ht.n_modes} modes, state has {state.n_modes}"
-            )
-        a = omega_inv @ ht.f_bar
-        dmean = a @ mean + omega_inv @ ht.alpha
-        dcov = a @ cov + cov @ a.T
-        return dmean, dcov
-
-    n_steps = max(1, int(np.ceil(t / dt - 1e-12)))
-    step = t / n_steps
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    time = 0.0
-    with _refusing_overflow(f"the moment equations up to t = {t}"):
-        for _ in range(n_steps):
-            k1m, k1c = rhs(time, mean, cov)
-            k2m, k2c = rhs(time + step / 2, mean + step / 2 * k1m, cov + step / 2 * k1c)
-            k3m, k3c = rhs(time + step / 2, mean + step / 2 * k2m, cov + step / 2 * k2c)
-            k4m, k4c = rhs(time + step, mean + step * k3m, cov + step * k3c)
-            mean = mean + step / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-            cov = cov + step / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-            time += step
-    return GaussianState(n_modes=state.n_modes, mean=mean, cov=cov)  # symmetrizes cov
+    if not callable(h):
+        return apply_channel(generate_channel(h, t), state)
+    total = np.eye(2 * state.n_modes + 1)
+    with _refusing_overflow(f"the propagator up to t = {t}"):  # an infinite t / dt too
+        n_steps = max(1, math.ceil(t / dt - 1e-12))
+        step = t / n_steps
+        nodes = (0.5 - math.sqrt(3.0) / 6.0) * step, (0.5 + math.sqrt(3.0) / 6.0) * step
+        for k in range(n_steps):
+            a1, a2 = (_generator(h(k * step + node), state.n_modes) for node in nodes)
+            omega = step / 2.0 * (a1 + a2) + math.sqrt(3.0) * step**2 / 12.0 * (a2 @ a1 - a1 @ a2)
+            total = _expm(omega) @ total
+    return apply_channel(_channel(total), state)

@@ -13,6 +13,7 @@ from scipy.sparse import identity as sp_eye
 from scipy.sparse import kron as sp_kron
 from scipy.sparse.linalg import eigsh
 
+from fock_oracle import evolved, moment_deviation, vacuum_vector
 from gaussphase import (
     GridAdequacyWarning,
     PhaseSpaceGrid,
@@ -268,15 +269,22 @@ def test_criterion_09_coherent_overlap():
     report(9, "coherent-state overlaps", ok, f"max dev {worst:.2e}")
 
 
-def test_criterion_10_dynamics_cross_check():
-    worst = 0.0
+def test_criterion_10_fock_propagation_oracle():
+    # the channel against the truncated Hamiltonian's unitary (see
+    # tests/fock_oracle.py): squeezing, rotation and a displacing generator
+    # on a squeezed start, and two-mode squeezing on the two-mode vacuum
     start = squeezed_vacuum(0.4, 0.9)
-    for ham in (squeeze_hamiltonian(1.0, 0.0), rotation_hamiltonian(1)):
-        closed = apply_channel(generate_channel(ham, 1.0), start)
-        ode = evolve_ode(ham, start, t=1.0, dt=1e-3)
-        worst = max(worst, float(np.max(np.abs(ode.cov - closed.cov))))
-        worst = max(worst, float(np.max(np.abs(ode.mean - closed.mean))))
+    general = QuadraticHamiltonian(n_modes=1, f_bar=[[0.4, 0.1], [0.1, 0.2]], alpha=[0.3, -0.2])
+    cases = [
+        (ham, start, fock.squeezed_vacuum_vector(0.4, 0.9, 80))
+        for ham in (squeeze_hamiltonian(0.5, 0.0), rotation_hamiltonian(1), general)
+    ]
+    cases.append((two_mode_squeeze_hamiltonian(0.6, 0.3), vacuum(2), vacuum_vector(2, 16)))
+    worst = 0.0
+    for ham, gaussian, vector in cases:
+        closed = apply_channel(generate_channel(ham, 1.0), gaussian)
+        worst = max(worst, moment_deviation(evolved(vector, ham, ham.alpha, 1.0), closed))
     rotated = evolve_ode(rotation_hamiltonian(1), start, t=2.0 * np.pi, dt=1e-3)
     period_dev = float(np.max(np.abs(rotated.cov - start.cov)))
-    ok = worst <= 1e-6 and period_dev <= 1e-8
-    report(10, "ODE vs channel dynamics", ok, f"dev {worst:.2e}, period {period_dev:.2e}")
+    ok = worst <= 1e-10 and period_dev <= 1e-12
+    report(10, "Fock-space propagation oracle", ok, f"dev {worst:.2e}, period {period_dev:.2e}")

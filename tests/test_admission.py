@@ -91,12 +91,21 @@ VALUE_OBJECTS = (
     fock.FockDensity,
 )
 
+
+def _ramp(t):
+    return squeeze_hamiltonian(0.3 * t)
+
+
 # site -> (builder of one scalar, a valid scalar)
 SCALAR_SITES = {
     "thermal-nu": (thermal, 1.5),
     "squeezed-r": (squeezed_vacuum, 0.5),
     "tmsv-r": (two_mode_squeezed_vacuum, 0.5),
     "channel-t": (lambda t: generate_channel(rotation_hamiltonian(1), t), 0.5),
+    "evolve_ode-t": (lambda t: evolve_ode(squeeze_hamiltonian(0.3), vacuum(1), t, 0.1), 0.5),
+    "evolve_ode-dt": (lambda dt: evolve_ode(squeeze_hamiltonian(0.3), vacuum(1), 1.0, dt), 0.1),
+    "evolve_ode-callable-t": (lambda t: evolve_ode(_ramp, vacuum(1), t, 0.1), 0.5),
+    "evolve_ode-callable-dt": (lambda dt: evolve_ode(_ramp, vacuum(1), 1.0, dt), 0.1),
 }
 
 
@@ -193,6 +202,8 @@ MAGNITUDE_SITES = {
         generate_channel(squeeze_hamiltonian(1.0), 1.0), thermal(nu)
     ).cov,
     "evolve_ode-nu": lambda nu: evolve_ode(rotation_hamiltonian(1), thermal(nu), 1.0, 0.5).cov,
+    # a constant Hamiltonian only: a callable at t / dt ~ 1e300 would take as many steps
+    "evolve_ode-t": lambda t: evolve_ode(squeeze_hamiltonian(1.0), vacuum(1), t, 0.1).cov,
     "check_symplectic-scale": lambda a: [check_symplectic(a * np.eye(2)).residual],
     "williamson-nu": lambda nu: williamson_decompose(nu * np.eye(2)).sigma,
     "entropy-nu": lambda nu: entropy_from_spectrum([nu]).per_mode,
@@ -236,3 +247,12 @@ def test_representable_extreme_result_is_not_refused(site, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(MAGNITUDE_SITES[site](value)).all()
+
+
+def test_overflowing_step_count_is_refused():
+    # t / dt overflows to inf; the constant form forms no step count, and
+    # its channel at t = 1e300 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            evolve_ode(squeeze_hamiltonian(0.3), vacuum(1), 1e300, 1e-300)

@@ -621,26 +621,42 @@ def test_grid_to_csv_matches_per_element_formatting(n_q, n_p):
         assert ",-0\n" in text and "e-324\n" in text and "e-310," in text
 
 
-@pytest.mark.parametrize("line_break", ["\n", "\r"])
+# every character at which str.splitlines breaks a line, as the preamble writes it
+LINE_BREAKS = {
+    "\n": "\\n",
+    "\r": "\\r",
+    "\v": "\\x0b",
+    "\f": "\\x0c",
+    "\x1c": "\\x1c",
+    "\x1d": "\\x1d",
+    "\x1e": "\\x1e",
+    "\x85": "\\x85",
+    "\u2028": "\\u2028",
+    "\u2029": "\\u2029",
+}
+
+
+@pytest.mark.parametrize("line_break", LINE_BREAKS)
 def test_line_break_in_state_path_stays_in_preamble(tmp_path, capsys, line_break):
     state_path = tmp_path / f"a{line_break}b.json"
     run(capsys, "state", "make", "vacuum", "--out", str(state_path))
     out = tmp_path / "w.csv"
     assert run(capsys, "wigner", str(state_path), "--nq", "3", "--np", "3", "--out", str(out))[0] == 0
-    lines = out.read_bytes().decode().split("\n")
-    escaped = "\\n" if line_break == "\n" else "\\r"
-    assert lines[0] == f"# state=state:{tmp_path}/a{escaped}b.json"
-    assert lines[1].startswith("# q_min=") and lines[8] == "q,p,w" and len(lines) == 9 + 9 + 1
+    lines = out.read_bytes().decode().splitlines()
+    assert lines[0] == f"# state=state:{tmp_path}/a{LINE_BREAKS[line_break]}b.json"
+    assert lines[1].startswith("# q_min=") and lines[8] == "q,p,w" and len(lines) == 9 + 9
 
 
-@pytest.mark.parametrize("amplitude", ["1+0.5i\n", "\r1-0.5i", "\n1+0i\r\n"])
+@pytest.mark.parametrize(
+    "amplitude", ["1+0.5i\n", "\r1-0.5i", "\n1+0i\r\n", *(f"1+0.5i{c}" for c in LINE_BREAKS if c not in "\n\r")]
+)
 def test_line_break_in_coherent_amplitude_stays_in_preamble(tmp_path, capsys, amplitude):
     out = tmp_path / "w.csv"
     assert run(capsys, "wigner", "--coherent", amplitude, "--nq", "3", "--np", "3", "--out", str(out))[0] == 0
-    lines = out.read_bytes().decode().split("\n")
-    escaped = amplitude.replace("\n", "\\n").replace("\r", "\\r")
+    lines = out.read_bytes().decode().splitlines()
+    escaped = "".join(LINE_BREAKS.get(c, c) for c in amplitude)
     assert lines[0] == f"# state=coherent:{escaped}"
-    assert "\r" not in lines[0] and lines[8] == "q,p,w" and len(lines) == 9 + 9 + 1
+    assert "\r" not in lines[0] and lines[8] == "q,p,w" and len(lines) == 9 + 9
 
 
 def test_grid_output_longer_than_write_slice_is_whole(capsys, tmp_path):

@@ -28,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+from fock_oracle import EPS, assert_moments_match, edge_mass
 from gaussphase import (
     GaussianState,
     TruncationError,
@@ -38,7 +39,6 @@ from gaussphase import (
 )
 from gaussphase.symplectic import _expm
 
-EPS = np.finfo(float).eps
 ANGLES = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 EXTRA_LEVELS = st.integers(0, 24)
 
@@ -52,23 +52,6 @@ def smallest_dim(build):
             return dim
         except TruncationError:
             dim += 1
-
-
-def edge_mass(state):
-    """Mass on and beyond level dim - 2 of any mode: the cutoff's lost mass
-    plus the stored mass there, which is normalized to the kept part."""
-    prob = np.abs(state.amplitudes.reshape((state.dim,) * state.n_modes)) ** 2
-    top = np.indices(prob.shape).max(axis=0) >= state.dim - 2
-    return state.lost_mass + (1.0 - state.lost_mass) * float(prob[top].sum())
-
-
-def assert_covariance_twin(state, gaussian):
-    """The oracle's moments of ``state`` equal ``gaussian``'s within the
-    bound the edge mass sets (see the module docstring)."""
-    mean, cov = fock.covariance_from_fock(state)
-    dev = max(np.max(np.abs(mean - gaussian.mean)), np.max(np.abs(cov - gaussian.cov)))
-    scale = 1.0 + np.max(np.abs(gaussian.cov)) + np.max(np.abs(gaussian.mean)) ** 2
-    assert dev <= 2.0 * state.dim * (edge_mass(state) + state.dim * EPS) * scale
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -99,7 +82,7 @@ def test_coherent_vector_is_the_coherent_state(mag, arg, extra):
     state = fock.coherent_vector(alpha, dim)
     # the Poisson mass beyond the cutoff, P(N >= dim) for N ~ Poisson(|alpha|^2)
     assert abs(state.lost_mass - gammainc(dim, mag * mag)) <= dim * EPS
-    assert_covariance_twin(state, coherent(alpha))
+    assert_moments_match(state, coherent(alpha))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -109,7 +92,7 @@ def test_squeezed_vacuum_vector_is_the_squeezed_vacuum(r, theta, extra):
     dim = smallest_dim(lambda d: fock.squeezed_vacuum_vector(r, theta, d)) + extra
     state = fock.squeezed_vacuum_vector(r, theta, dim)
     assert state.lost_mass <= fock.SQUEEZED_TAIL_TOL
-    assert_covariance_twin(state, squeezed_vacuum(r, theta))
+    assert_moments_match(state, squeezed_vacuum(r, theta))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -124,7 +107,7 @@ def test_tmsv_vector_at_half_r_is_the_two_mode_squeezed_vacuum(r, theta, extra):
     state = fock.tmsv_vector(r / 2.0, theta, dim)
     # the geometric mass beyond the cutoff, tanh(r/2)^(2 dim)
     assert abs(state.lost_mass - np.tanh(r / 2.0) ** (2 * dim)) <= dim * EPS
-    assert_covariance_twin(state, two_mode_squeezed_vacuum(r, theta))
+    assert_moments_match(state, two_mode_squeezed_vacuum(r, theta))
     # h(cosh r) from the occupation nbar = (cosh r - 1)/2 = sinh^2(r/2),
     # which does not cancel at small r, where von_neumann_entropy rounds
     # nu within 1e-12 of 1 to a pure state
@@ -153,4 +136,4 @@ def test_displaced_squeezed_vector_is_the_displaced_squeezed_state(r, theta, mag
     state = fock.FockState(amplitudes=moved, dim=dim, lost_mass=max(lost, 0.0))
     mean = math.sqrt(2.0) * np.array([eta.real, eta.imag])
     displaced = GaussianState(n_modes=1, mean=mean, cov=squeezed_vacuum(r, theta).cov)
-    assert_covariance_twin(state, displaced)
+    assert_moments_match(state, displaced)
