@@ -10,7 +10,8 @@ optional summary.  Only :func:`main` writes output, prints warnings as
 ``warning: <message>`` and maps errors to exit codes: 0 success, 2 usage,
 parse or output-file errors, 3 unphysical states or numeric-domain
 failures, 4 violated semantic preconditions (e.g. entanglement entropy of
-a mixed state).
+a mixed state).  A NaN or infinite number given to an option is a usage
+error, refused with one line naming the option before any work.
 
 Conventions: dimensionless quadratures with vacuum covariance = identity
 (hbar = kB = 1); ``coupled-example`` additionally accepts explicit m and
@@ -26,6 +27,7 @@ own part of the package; ``fock``, the test oracle, never loads.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 import warnings
@@ -51,11 +53,25 @@ class FileFormatError(Exception):
     """Input file could not be parsed into the expected structure."""
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, flag: str) -> complex:
+    """The complex number ``text`` given to the option ``flag``; it must be finite."""
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
         raise FileFormatError(f"cannot parse complex number from {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise FileFormatError(f"{flag} must be finite, got {text!r}")
+    return value
+
+
+class _Finite(argparse.Action):
+    """Stores a float option, refusing a NaN or infinite value with a
+    FileFormatError that names the option (exit 2, one error line)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not cmath.isfinite(value):
+            raise FileFormatError(f"{option_string} must be finite, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _to_pairwise(tag: str, n_modes: int, *arrays: np.ndarray | None) -> list:
@@ -135,7 +151,7 @@ def cmd_state_make(args) -> dict:
     elif kind == "coherent":
         if args.alpha is None:
             raise FileFormatError("coherent requires --alpha")
-        alphas = [_parse_complex(tok) for tok in args.alpha.split(",")]
+        alphas = [_parse_complex(tok, "--alpha") for tok in args.alpha.split(",")]
         state = states.coherent(alphas)
         metadata["alpha"] = [str(a) for a in alphas]
     elif kind == "squeezed":
@@ -229,15 +245,19 @@ def cmd_entropy(args) -> dict:
     }
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(text: str, flag: str) -> tuple[float, float]:
+    """The finite bounds MIN:MAX given to the option ``flag``."""
     seps = [c for c in (":", ",") if c in text]
     if not seps:
         raise FileFormatError(f"range {text!r} must look like MIN:MAX")
     lo, hi = text.split(seps[0], 1)
     try:
-        return float(lo), float(hi)
+        bounds = float(lo), float(hi)
     except ValueError as exc:
         raise FileFormatError(f"cannot parse range {text!r}") from exc
+    if not all(map(cmath.isfinite, bounds)):
+        raise FileFormatError(f"{flag} must be finite, got {text!r}")
+    return bounds
 
 
 def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
@@ -279,8 +299,8 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
     sources = [args.state is not None, args.fock is not None, args.coherent is not None]
     if sum(sources) != 1:
         raise FileFormatError("provide exactly one of STATE, --fock or --coherent")
-    q_min, q_max = _parse_range(args.qrange)
-    p_min, p_max = _parse_range(args.prange)
+    q_min, q_max = _parse_range(args.qrange, "--qrange")
+    p_min, p_max = _parse_range(args.prange, "--prange")
     try:
         grid = wigner.PhaseSpaceGrid(
             q_min=q_min,
@@ -297,7 +317,7 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
         w = wigner.eval_fock(args.fock, grid)
         descriptor = f"fock:{args.fock}"
     elif args.coherent is not None:
-        alpha = _parse_complex(args.coherent)
+        alpha = _parse_complex(args.coherent, "--coherent")
         w = wigner.eval_gaussian(states.coherent(alpha), grid)
         descriptor = f"coherent:{args.coherent}"
     else:
@@ -320,12 +340,9 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
 def cmd_coupled_example(args) -> dict:
     from . import dynamics, entropy, states, williamson
 
-    m, omega, lam = args.m, args.omega, args.lam
-    # a NaN fails every comparison, so it is refused here too
-    if not (0 < m < np.inf and 0 < omega < np.inf):
-        raise FileFormatError("m and omega must be positive and finite")
-    if not np.isfinite(lam):
-        raise FileFormatError("lambda must be finite")
+    m, omega, lam = args.m, args.omega, args.lam  # finite: see _Finite
+    if not (m > 0 and omega > 0):
+        raise FileFormatError("m and omega must be positive")
     kappa = lam / m / omega / omega  # lambda / (m omega^2), which never forms m omega^2
     stiffness = 1.0 + 4.0 * kappa
     if stiffness <= 0:
@@ -389,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_make = state_sub.add_parser("make", help="construct a canonical state")
     p_make.add_argument("kind", choices=["vacuum", "thermal", "coherent", "squeezed", "tmsv"])
     p_make.add_argument("--modes", type=int, default=1, help="mode count (vacuum)")
-    p_make.add_argument("--nu", type=float, help="thermal symplectic eigenvalue (>= 1)")
+    p_make.add_argument("--nu", type=float, action=_Finite, help="thermal symplectic eigenvalue (>= 1)")
     p_make.add_argument("--alpha", help="complex amplitude(s), e.g. '1+0.5i' or '1,2i'")
-    p_make.add_argument("--r", type=float, help="squeezing magnitude")
-    p_make.add_argument("--theta", type=float, default=0.0, help="squeezing phase")
+    p_make.add_argument("--r", type=float, action=_Finite, help="squeezing magnitude")
+    p_make.add_argument("--theta", type=float, action=_Finite, default=0.0, help="squeezing phase")
     p_make.add_argument("--out", help="output path (default: stdout)")
     p_make.set_defaults(func=cmd_state_make)
 
@@ -400,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("state", help="input StateFile (JSON)")
     p_evolve.add_argument("--hamiltonian", help="JSON file with f_bar (and optional alpha)")
     p_evolve.add_argument("--builtin", choices=["squeeze", "tms", "rotate"])
-    p_evolve.add_argument("--r", type=float, default=1.0)
-    p_evolve.add_argument("--theta", type=float, default=0.0)
-    p_evolve.add_argument("--time", type=float, required=True)
+    p_evolve.add_argument("--r", type=float, action=_Finite, default=1.0)
+    p_evolve.add_argument("--theta", type=float, action=_Finite, default=0.0)
+    p_evolve.add_argument("--time", type=float, action=_Finite, required=True)
     p_evolve.add_argument("--verbose", action="store_true")
     p_evolve.add_argument("--out")
     p_evolve.set_defaults(func=cmd_evolve)
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--prange", default="-6:6")
     p_wig.add_argument("--nq", type=int, default=201)
     p_wig.add_argument("--np", type=int, default=201)
-    p_wig.add_argument("--hbar", type=float, default=1.0)
+    p_wig.add_argument("--hbar", type=float, action=_Finite, default=1.0)
     p_wig.add_argument("--summary", action="store_true")
     p_wig.add_argument("--out")
     p_wig.set_defaults(func=cmd_wigner)
@@ -435,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cpl = sub.add_parser(
         "coupled-example", help="two coupled oscillators: spectrum, ground state, entropy"
     )
-    p_cpl.add_argument("--m", type=float, default=1.0)
-    p_cpl.add_argument("--omega", type=float, default=1.0)
-    p_cpl.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_cpl.add_argument("--m", type=float, action=_Finite, default=1.0)
+    p_cpl.add_argument("--omega", type=float, action=_Finite, default=1.0)
+    p_cpl.add_argument("--lambda", dest="lam", type=float, action=_Finite, required=True)
     p_cpl.add_argument("--base", choices=["e", "2"], default="e")
     p_cpl.add_argument("--out")
     p_cpl.set_defaults(func=cmd_coupled_example)
@@ -462,8 +479,8 @@ def _write_line(fh, text: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

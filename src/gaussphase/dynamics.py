@@ -204,7 +204,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
         aug *= t  # in place: one (2n+1)-square input is alive in _expm
         # d is linear in the last column; scaled exactly to a 1-norm <= 1, the
         # column cannot raise _expm's squaring count and cost S accuracy
-        shift = max(0, math.frexp(np.max(np.abs(aug[:dim, dim])))[1] + dim.bit_length())
+        shift = max(0, math.frexp(np.abs(aug[:dim, dim]).max())[1] + dim.bit_length())
         aug[:dim, dim] = np.ldexp(aug[:dim, dim], -shift)
         e_aug = _expm(aug)
         e_aug[:dim, dim] = np.ldexp(e_aug[:dim, dim], shift)
@@ -250,7 +250,9 @@ def evolve_ode(
     state stays pure.
 
     Raises:
-        ValueError: if ``t`` or ``dt`` is not finite, ``dt`` <= 0 or ``t`` < 0.
+        ValueError: if ``t`` or ``dt`` is not finite, ``dt`` <= 0 or ``t`` < 0,
+            or if a callable would take more than 2^53 steps, beyond which
+            the step start k * (t / n_steps) no longer advances exactly.
         DimensionError: if the Hamiltonian (for a callable, each one it
             returns) does not act on the state's modes.
     """
@@ -264,6 +266,8 @@ def evolve_ode(
     total = np.eye(2 * state.n_modes + 1)
     with _refusing_overflow(f"the propagator up to t = {t}"):  # an infinite t / dt too
         n_steps = max(1, math.ceil(t / dt - 1e-12))
+        if n_steps > 2**53:  # beyond it, k * step no longer advances exactly
+            raise ValueError(f"t / dt = {t / dt:.3e} asks for more than 2^53 Magnus steps")
         step = t / n_steps
         nodes = (0.5 - math.sqrt(3.0) / 6.0) * step, (0.5 + math.sqrt(3.0) / 6.0) * step
         for k in range(n_steps):

@@ -55,8 +55,9 @@ def _entropy_contribution(nu: np.ndarray, log_base: LogBase) -> np.ndarray:
 
 def entropy_from_spectrum(nu: Iterable[float], log_base: LogBase = "e") -> EntropyResult:
     """Entropy of a Gaussian state given its symplectic eigenvalues."""
-    nu = np.asarray(list(nu), dtype=float)
-    if np.any(nu < 1.0 - PHYSICALITY_TOL):
+    # an array is taken as it is; any other iterable, a 0-d array too, goes through list()
+    nu = np.asarray(nu if isinstance(nu, np.ndarray) and nu.ndim else list(nu), dtype=float)
+    if (nu < 1.0 - PHYSICALITY_TOL).any():
         raise UnphysicalStateError(
             f"symplectic eigenvalue {nu.min():.6g} < 1: entropy undefined"
         )

@@ -222,7 +222,7 @@ def purity(state: GaussianState) -> PurityReport:
     Raises:
         UnphysicalStateError: if the covariance is not positive definite.
     """
-    p = float(np.exp(-np.sum(np.log(np.diagonal(_cholesky(state.cov))))))
+    p = float(np.exp(-np.log(np.diagonal(_cholesky(state.cov))).sum()))
     return PurityReport(purity=p, is_pure=abs(p - 1.0) <= PURITY_TOL)
 
 

@@ -11,19 +11,26 @@ inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 read-only array, whose shape (2n, 2n) carries the mode count.
 
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
-package, once, :func:`_frozen` stores a value object's fields as read-only
-arrays it owns, and :func:`_refusing_overflow` refuses every float overflow.
+package, once, and :func:`_frozen` stores a value object's fields as
+read-only arrays it owns.  :class:`_refusing_overflow` refuses every float
+overflow: a plain class whose ``__enter__`` enters a fresh ``np.errstate``
+that raises on overflow and invalid operations, and whose ``__exit__``
+leaves it and turns a FloatingPointError, or an OverflowError from
+``math``, into one ValueError, so a guarded block costs no generator frame.
 :func:`_symmetrized` is the one symmetry (Hermiticity) check, with the one
 tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the package's one matrix
 exponential, and :func:`_flushed` stores the negligible entries of the
 matrices the dynamics layer creates as zeros.
+
+The checks that every call runs make one numpy pass per quantity, which
+on one and two modes is most of a call's cost.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +40,14 @@ DEFAULT_SYMPLECTIC_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 
 
-def _finite(a: np.ndarray, name: str) -> None:
+# scalar types that cmath.isfinite tests exactly, without an array round trip;
+# np.float64 and np.complex128 subclass float and complex
+_FLOAT_SCALARS = (float, complex, np.float16, np.float32, np.complex64)
+
+
+def _finite(a, name: str) -> None:
     """Raises ValueError naming ``a`` if an entry is NaN or infinite."""
-    if not np.isfinite(a).all():
+    if not (cmath.isfinite(a) if isinstance(a, _FLOAT_SCALARS) else np.isfinite(a).all()):
         raise ValueError(f"{name} has non-finite entries")
 
 
@@ -53,24 +65,42 @@ def _frozen(obj, **fields) -> None:
     """Stores each field on the frozen dataclass ``obj``.  Every ndarray is
     stored read-only, and one that shares memory with the value the caller
     passed for that field is copied first, so that a value object owns its
-    arrays and never freezes or aliases a caller's."""
+    arrays and never freezes or aliases a caller's.
+
+    The caller's own array is always copied.  Any other array that owns its
+    buffer was made from the caller's ndarray in new memory and cannot
+    alias it, so only views, and arrays made from inputs that are not
+    ndarrays (which may hand out a buffer they keep), take the memory test."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            if np.may_share_memory(value, getattr(obj, name, None)):
+            given = getattr(obj, name, None)
+            if value is given or (
+                given is not None
+                and (value.base is not None or not isinstance(given, np.ndarray))
+                and np.may_share_memory(value, given)
+            ):
                 value = value.copy()
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
 
 
-@contextmanager
-def _refusing_overflow(what: str):
+class _refusing_overflow:
     """Refuses float overflow and invalid operations in its block, and any
     OverflowError from ``math``, with one ValueError naming ``what``."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (FloatingPointError, OverflowError):
-        raise ValueError(f"{what} gives non-finite values (float overflow)") from None
+
+    __slots__ = ("what", "_errstate")
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self) -> None:
+        self._errstate = np.errstate(over="raise", invalid="raise")
+        self._errstate.__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._errstate.__exit__(exc_type, exc, tb)
+        if exc_type is not None and issubclass(exc_type, (FloatingPointError, OverflowError)):
+            raise ValueError(f"{self.what} gives non-finite values (float overflow)") from None
 
 
 def _n_modes(m, name: str) -> int:
@@ -92,10 +122,12 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
             SYMMETRY_TOL * max(1, max|m|).
     """
     half = 0.5 * m
-    asym = 2.0 * float(np.max(np.abs(half - half.conj().T)))  # a float product: no warning
-    if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
+    half_dag = half.conj().T if half.dtype.kind == "c" else half.T
+    asym = 2.0 * float(np.abs(half - half_dag).max())  # a float product: no warning
+    # asym > tol * max(1, max|m|), with max|m| formed only past the absolute bound
+    if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * np.abs(m).max():
         raise ValueError(f"{name} asymmetry {asym:.3e} exceeds tolerance")
-    return half + half.conj().T
+    return half + half_dag
 
 
 # entries below this fraction of the largest are stored as exact zeros
@@ -188,8 +220,8 @@ def check_symplectic(m: np.ndarray, form: np.ndarray | None = None) -> Symplecti
     # the scale is formed only when the absolute bound is exceeded
     tol = DEFAULT_SYMPLECTIC_TOL
     with _refusing_overflow("m Omega^-1 m^T"):
-        residual = float(np.max(np.abs(m_omega_inv @ m.T - omega_inv)))
-        ok = residual <= tol or residual <= tol * float(np.max(np.abs(m_omega_inv) @ np.abs(m).T))
+        residual = float(np.abs(m_omega_inv @ m.T - omega_inv).max())
+        ok = residual <= tol or residual <= tol * float((np.abs(m_omega_inv) @ np.abs(m).T).max())
     return SymplecticCheck(ok, residual)
 
 
@@ -222,17 +254,23 @@ def _norm1(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def _ell(a: np.ndarray, m: int) -> int:
-    """Extra squarings that keep the degree-m Pade backward error below u
-    for a nonnormal ``a`` (the function ell of Al-Mohy & Higham's
-    Algorithm 5.1); the 1-norm of the nonnegative |a|^(2m+1) is exact from
-    row-vector products."""
+def _ell_table(a: np.ndarray) -> Callable[[int], int]:
+    """The function ell of Al-Mohy & Higham's Algorithm 5.1 for ``a``:
+    ell(m) is the number of extra squarings that keep the degree-m Pade
+    backward error below u for a nonnormal ``a``.  It takes the 1-norm of
+    the nonnegative |a|^(2m+1), exact from the row vectors 1^T |a|^k; one
+    table of them, extended on demand, serves every candidate degree."""
     abs_a = np.abs(a)
-    v = abs_a.sum(axis=0)
-    for _ in range(2 * m):
-        v = v @ abs_a
-    alpha = _ELL_C[m] * float(v.max()) / _norm1(a)
-    return 0 if alpha == 0.0 else max(math.ceil(math.log2(alpha) / (2 * m)), 0)
+    rows = [abs_a.sum(axis=0)]  # rows[k - 1] = 1^T |a|^k
+    norm1 = float(rows[0].max())
+
+    def ell(m: int) -> int:
+        while len(rows) <= 2 * m:
+            rows.append(rows[-1] @ abs_a)
+        alpha = _ELL_C[m] * float(rows[2 * m].max()) / norm1
+        return 0 if alpha == 0.0 else max(math.ceil(math.log2(alpha) / (2 * m)), 0)
+
+    return ell
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -246,23 +284,25 @@ def _expm(a: np.ndarray) -> np.ndarray:
     eye = np.eye(len(a), dtype=a.dtype)
     if not a.any():
         return eye
+    ell = _ell_table(a)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
     powers = [eye, a2, a4, a6]
     d4, d6 = _norm1(a4) ** (1 / 4), _norm1(a6) ** (1 / 6)
-    m = next((k for k in (3, 5) if max(d4, d6) <= _THETA[k] and _ell(a, k) == 0), None)
+    m = next((k for k in (3, 5) if max(d4, d6) <= _THETA[k] and ell(k) == 0), None)
     if m is None:
         powers.append(a4 @ a4)
         d8 = _norm1(powers[4]) ** (1 / 8)
-        m = next((k for k in (7, 9) if max(d6, d8) <= _THETA[k] and _ell(a, k) == 0), 13)
+        m = next((k for k in (7, 9) if max(d6, d8) <= _THETA[k] and ell(k) == 0), 13)
     b, s = _PADE[m], 0
     if m == 13:
         eta = min(max(d6, d8), max(d8, _norm1(a4 @ a6) ** (1 / 10)))
         s = math.ceil(math.log2(eta / _THETA[13])) if eta > _THETA[13] else 0
-        s += _ell(a * 2.0**-s, 13)
-        a = a * 2.0**-s
-        eye, a2, a4, a6 = (p * 2.0 ** (-2 * k * s) for k, p in enumerate(powers[:4]))
+        s += (_ell_table(a * 2.0**-s) if s else ell)(13)
+        if s:
+            a = a * 2.0**-s
+            eye, a2, a4, a6 = (p * 2.0 ** (-2 * k * s) for k, p in enumerate(powers[:4]))
         u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
                  + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
         v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)

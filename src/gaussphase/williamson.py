@@ -83,7 +83,7 @@ def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
     in pairs -1/nu_k, +1/nu_k; the lower half gives nu ascending."""
     n = lam.size // 2
     low, high = lam[:n], lam[n:][::-1]
-    if low[-1] >= 0 or np.max(np.abs(low + high)) > DEFAULT_WILLIAMSON_TOL * np.max(np.abs(lam)):
+    if low[-1] >= 0 or np.abs(low + high).max() > DEFAULT_WILLIAMSON_TOL * np.abs(lam).max():
         raise ValueError(
             "eigenvalues of iY do not pair up as -1/nu, +1/nu; numerically degenerate input"
         )
@@ -165,7 +165,7 @@ def williamson_decompose(
         sigma = scaled_o @ f_inv_sqrt
         residual = sigma @ f @ sigma.T
         residual[np.diag_indices(2 * n)] -= np.repeat(nu, 2)
-        residual_diag = float(np.max(np.abs(residual)))
+        residual_diag = float(np.abs(residual).max())
     residual_sympl = check_symplectic(sigma, omega).residual
     return WilliamsonDecomposition(
         nu=nu,

@@ -256,3 +256,25 @@ def test_overflowing_step_count_is_refused():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite"):
             evolve_ode(squeeze_hamiltonian(0.3), vacuum(1), 1e300, 1e-300)
+
+
+class _Stepped(Exception):
+    """Raised by a Hamiltonian callable when evolve_ode takes its first step."""
+
+
+def _first_step(t):
+    raise _Stepped
+
+
+@pytest.mark.parametrize(
+    "t, dt, refused",
+    [(1e300, 1e-7, True), (2.0**53 + 2.0, 1.0, True), (2.0**53, 1.0, False)],
+    ids=["1e307-steps", "2^53+2-steps", "2^53-steps"],
+)
+def test_impossible_step_count_is_refused_before_any_step(t, dt, refused):
+    # a finite t / dt above 2^53 asks for more steps than k * step can count
+    # exactly; it is refused at once, where the loop would run for ever
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError if refused else _Stepped, match="2\\^53" if refused else None):
+            evolve_ode(_first_step, vacuum(1), t, dt)

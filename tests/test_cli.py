@@ -791,6 +791,41 @@ def test_non_finite_state_file_exit_code(tmp_path, capsys, command, entry, value
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--time", ["evolve", "STATE", "--builtin", "rotate", "--time", "nan"]),
+        ("--time", ["evolve", "STATE", "--builtin", "squeeze", "--time", "inf"]),
+        ("--time", ["evolve", "STATE", "--builtin", "squeeze", "--time=-inf"]),
+        ("--r", ["evolve", "STATE", "--builtin", "squeeze", "--r", "nan", "--time", "1"]),
+        ("--theta", ["evolve", "STATE", "--builtin", "squeeze", "--theta", "inf", "--time", "1"]),
+        ("--nu", ["state", "make", "thermal", "--nu", "nan"]),
+        ("--nu", ["state", "make", "thermal", "--nu", "inf"]),
+        ("--r", ["state", "make", "squeezed", "--r", "nan"]),
+        ("--r", ["state", "make", "tmsv", "--r", "inf"]),
+        ("--alpha", ["state", "make", "coherent", "--alpha=nan"]),
+        ("--alpha", ["state", "make", "coherent", "--alpha=1,1e400"]),
+        ("--coherent", ["wigner", "--coherent=nan", "--nq", "3", "--np", "3"]),
+        ("--hbar", ["wigner", "--fock", "0", "--hbar", "nan", "--nq", "3", "--np", "3"]),
+        ("--qrange", ["wigner", "--fock", "0", "--qrange=nan:1", "--nq", "3", "--np", "3"]),
+        ("--prange", ["wigner", "--fock", "0", "--prange=-1:inf", "--nq", "3", "--np", "3"]),
+        ("--lambda", ["coupled-example", "--lambda", "nan"]),
+        ("--omega", ["coupled-example", "--lambda", "1", "--omega", "inf"]),
+    ],
+)
+def test_non_finite_option_is_a_usage_error(tmp_path, capsys, flag, argv):
+    state_path = tmp_path / "v.json"
+    state_path.write_text(json.dumps(state_to_dict(vacuum(1))))
+    out_path = tmp_path / "result.out"
+    argv = [str(state_path) if a == "STATE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be finite")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("kind, r", [("squeezed", "400"), ("tmsv", "800")])
 def test_overflowing_squeezing_refused_without_warning(tmp_path, capsys, kind, r):
     out_path = tmp_path / "s.json"
