@@ -99,6 +99,14 @@ def _to_pairwise(tag: str, n_modes: int, *arrays: np.ndarray | None) -> list:
     return out
 
 
+def _mode_count(value) -> int:
+    """The mode count ``n_modes`` read from a file: an integer, or a float
+    or string that int() reads exactly; ValueError for a bool or a fraction."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"n_modes must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_to_dict(state: states.GaussianState, metadata: dict | None = None) -> dict:
     return {
         "n_modes": state.n_modes,
@@ -113,7 +121,7 @@ def state_from_dict(data: dict) -> states.GaussianState:
     from . import states
 
     try:
-        n_modes = int(data["n_modes"])
+        n_modes = _mode_count(data["n_modes"])
         mean = np.asarray(data["mean"], dtype=float)
         cov = np.asarray(data["cov"], dtype=float)
         mean, cov = _to_pairwise(data.get("ordering", "qpqp"), n_modes, mean, cov)
@@ -177,7 +185,9 @@ def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
             data = json.load(fh)
         f_bar = np.asarray(data["f_bar"], dtype=float)
         alpha = np.asarray(data["alpha"], dtype=float) if "alpha" in data else None
-        n_modes = int(data.get("n_modes", f_bar.shape[0] // 2))
+        if f_bar.ndim == 0:  # before its size gives the default n_modes
+            raise ValueError(f"f_bar must be a matrix, got the scalar {f_bar}")
+        n_modes = _mode_count(data.get("n_modes", f_bar.shape[0] // 2))
         f_bar, alpha = _to_pairwise(data.get("ordering", "qpqp"), n_modes, f_bar, alpha)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"cannot read hamiltonian file {path}: {exc}") from exc

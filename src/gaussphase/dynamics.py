@@ -25,10 +25,10 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DimensionError, NoGroundStateError, NotPositiveDefiniteError
-from .states import GaussianState, _trusted_state
+from .states import GaussianState
 from .symplectic import (
     _checked, _expm, _finite, _flushed, _frozen, _n_modes, _refusing_overflow, _symmetrized,
-    check_symplectic, make_symplectic_form,
+    _symplectic_check, _trusted, make_symplectic_form,
 )
 from .williamson import williamson_decompose
 
@@ -107,17 +107,22 @@ class GaussianChannel:
     residual: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        dim = 2 * _n_modes(self.s, "s")
-        s = _checked(self.s, "s", (dim, dim))
-        d = _checked(self.d, "d", (dim,))
-        ok, residual = check_symplectic(s)
-        if not ok:
-            raise ValueError(f"s is not symplectic (residual {residual:.3e})")
-        _frozen(self, s=s, d=d, residual=residual)
+        n = _n_modes(self.s, "s")
+        s = _checked(self.s, "s", (2 * n, 2 * n))
+        d = _checked(self.d, "d", (2 * n,))
+        _frozen(self, s=s, d=d, residual=_symplectic_residual(s, make_symplectic_form(n)))
 
     @property
     def n_modes(self) -> int:
         return self.s.shape[0] // 2
+
+
+def _symplectic_residual(s: np.ndarray, omega: np.ndarray) -> float:
+    """The residual of an admitted ``s``; ValueError if it is not symplectic."""
+    ok, residual = _symplectic_check(s, omega)
+    if not ok:
+        raise ValueError(f"s is not symplectic (residual {residual:.3e})")
+    return residual
 
 
 def ladder_to_quadrature(h: LadderHamiltonian) -> QuadraticHamiltonian:
@@ -169,20 +174,28 @@ def rotation_hamiltonian(n_modes: int = 1) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(n_modes=n_modes, f_bar=np.eye(2 * n_modes))
 
 
-def _generator(h: QuadraticHamiltonian, n_modes: int) -> np.ndarray:
-    """The generator [[Omega^-1 Fbar, Omega^-1 alpha], [0, 0]] of ``h``."""
+def _generator(h: QuadraticHamiltonian, omega: np.ndarray) -> np.ndarray:
+    """The generator [[Omega^-1 Fbar, Omega^-1 alpha], [0, 0]] of ``h``, for
+    the symplectic form ``omega`` of the modes it must act on."""
+    n_modes = len(omega) // 2
     if h.n_modes != n_modes:
         raise DimensionError(f"hamiltonian acts on {h.n_modes} modes, state has {n_modes}")
-    omega_inv = make_symplectic_form(n_modes).T
+    omega_inv = omega.T
     aug = np.zeros((2 * n_modes + 1, 2 * n_modes + 1))
     np.matmul(omega_inv, h.f_bar, out=aug[:-1, :-1])
     aug[:-1, -1] = omega_inv @ h.alpha
     return aug
 
 
-def _channel(e_aug: np.ndarray) -> GaussianChannel:
-    """The channel (S, d) of an exponential [[S, d], [0, 1]] of generators."""
-    return GaussianChannel(s=_flushed(e_aug[:-1, :-1]), d=e_aug[:-1, -1] + 0.0)  # no -0.0
+def _channel(e_aug: np.ndarray, omega: np.ndarray) -> GaussianChannel:
+    """The channel (S, d) of an exponential [[S, d], [0, 1]] of generators
+    on the modes of ``omega``.  The solve inside ``_expm`` can return inf or
+    NaN without a floating-point error, so S and d are tested for that."""
+    s, d = _flushed(e_aug[:-1, :-1]), e_aug[:-1, -1] + 0.0  # no -0.0
+    _finite(s, "s")
+    _finite(d, "d")
+    residual = _symplectic_residual(s, omega)
+    return _trusted(GaussianChannel, s=s, d=d, residual=residual)
 
 
 def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
@@ -198,7 +211,8 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     not run on subnormal numbers.
     """
     _finite(t, "t")
-    aug = _generator(h, h.n_modes)
+    omega = make_symplectic_form(h.n_modes)
+    aug = _generator(h, omega)
     dim = 2 * h.n_modes
     with _refusing_overflow(f"the channel of this Hamiltonian at t = {t}"):
         aug *= t  # in place: one (2n+1)-square input is alive in _expm
@@ -208,7 +222,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
         aug[:dim, dim] = np.ldexp(aug[:dim, dim], -shift)
         e_aug = _expm(aug)
         e_aug[:dim, dim] = np.ldexp(e_aug[:dim, dim], shift)
-        return _channel(e_aug)
+        return _channel(e_aug, omega)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -226,7 +240,7 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
     with _refusing_overflow("the channel output"):
         half = 0.5 * (s @ state.cov @ s.T)
         mean = s @ state.mean + channel.d
-    return _trusted_state(state.n_modes, mean, _flushed(half + half.T))
+    return _trusted(GaussianState, n_modes=state.n_modes, mean=mean, cov=_flushed(half + half.T))
 
 
 HamiltonianLike = Union[QuadraticHamiltonian, Callable[[float], QuadraticHamiltonian]]
@@ -263,6 +277,7 @@ def evolve_ode(
         raise ValueError("t must be non-negative")
     if not callable(h):
         return apply_channel(generate_channel(h, t), state)
+    omega = make_symplectic_form(state.n_modes)
     total = np.eye(2 * state.n_modes + 1)
     with _refusing_overflow(f"the propagator up to t = {t}"):  # an infinite t / dt too
         n_steps = max(1, math.ceil(t / dt - 1e-12))
@@ -271,7 +286,7 @@ def evolve_ode(
         step = t / n_steps
         nodes = (0.5 - math.sqrt(3.0) / 6.0) * step, (0.5 + math.sqrt(3.0) / 6.0) * step
         for k in range(n_steps):
-            a1, a2 = (_generator(h(k * step + node), state.n_modes) for node in nodes)
-            omega = step / 2.0 * (a1 + a2) + math.sqrt(3.0) * step**2 / 12.0 * (a2 @ a1 - a1 @ a2)
-            total = _expm(omega) @ total
-    return apply_channel(_channel(total), state)
+            a1, a2 = (_generator(h(k * step + node), omega) for node in nodes)
+            magnus = step / 2.0 * (a1 + a2) + math.sqrt(3.0) * step**2 / 12.0 * (a2 @ a1 - a1 @ a2)
+            total = _expm(magnus) @ total
+    return apply_channel(_channel(total, omega), state)

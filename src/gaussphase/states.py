@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, UnphysicalStateError
-from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _symmetrized
+from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _symmetrized, _trusted
 from .williamson import symplectic_spectrum
 
 PHYSICALITY_TOL = 1e-8
@@ -68,18 +68,6 @@ class GaussianState:
         return symplectic_spectrum(self.cov)
 
 
-def _trusted_state(n_modes: int, mean: np.ndarray, cov: np.ndarray) -> GaussianState:
-    """Builds a state from moments derived from already-validated states.
-
-    Skips the constructor's checks: the caller guarantees a float mean and
-    an exactly symmetric covariance that no other object references, so
-    the arrays are stored, read-only, without a copy.
-    """
-    state = object.__new__(GaussianState)
-    _frozen(state, n_modes=n_modes, mean=mean, cov=cov)
-    return state
-
-
 @dataclass(frozen=True)
 class PurityReport:
     purity: float
@@ -99,7 +87,8 @@ def vacuum(n_modes: int) -> GaussianState:
     """Vacuum state: zero mean, identity covariance."""
     if n_modes < 1:
         raise DimensionError(f"n_modes must be >= 1, got {n_modes}")
-    return _trusted_state(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    dim = 2 * n_modes
+    return _trusted(GaussianState, n_modes=n_modes, mean=np.zeros(dim), cov=np.eye(dim))
 
 
 def thermal(nu: float) -> GaussianState:
@@ -110,7 +99,7 @@ def thermal(nu: float) -> GaussianState:
     _finite(nu, "nu")
     if nu < 1.0:
         raise UnphysicalStateError(f"thermal state requires nu >= 1, got {nu}")
-    return GaussianState(n_modes=1, mean=np.zeros(2), cov=nu * np.eye(2))
+    return _trusted(GaussianState, n_modes=1, mean=np.zeros(2), cov=nu * np.eye(2))
 
 
 def coherent(alpha: Complex | Sequence[Complex]) -> GaussianState:
@@ -125,10 +114,13 @@ def coherent(alpha: Complex | Sequence[Complex]) -> GaussianState:
     alphas = np.atleast_1d(alpha)
     alphas = _checked(alphas, "alpha", alphas.shape[:1], complex)
     n = alphas.size
+    if n < 1:
+        raise DimensionError(f"n_modes must be >= 1, got {n}")
     mean = np.empty(2 * n)
-    mean[0::2] = np.sqrt(2.0) * alphas.real
-    mean[1::2] = np.sqrt(2.0) * alphas.imag
-    return GaussianState(n_modes=n, mean=mean, cov=np.eye(2 * n))
+    with _refusing_overflow("the quadrature mean sqrt(2) alpha"):
+        mean[0::2] = np.sqrt(2.0) * alphas.real
+        mean[1::2] = np.sqrt(2.0) * alphas.imag
+    return _trusted(GaussianState, n_modes=n, mean=mean, cov=np.eye(2 * n))
 
 
 def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
@@ -183,7 +175,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     cov = np.zeros((2 * n, 2 * n))
     cov[: a.dim, : a.dim] = a.cov
     cov[a.dim :, a.dim :] = b.cov
-    return _trusted_state(n, mean, cov)
+    return _trusted(GaussianState, n_modes=n, mean=mean, cov=cov)
 
 
 def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
@@ -201,7 +193,9 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     if any(k < 0 or k >= state.n_modes for k in keep):
         raise IndexError(f"mode indices {keep} out of range for {state.n_modes} modes")
     idx = np.concatenate([[2 * k, 2 * k + 1] for k in keep])
-    return _trusted_state(len(keep), state.mean[idx], state.cov[np.ix_(idx, idx)])
+    return _trusted(
+        GaussianState, n_modes=len(keep), mean=state.mean[idx], cov=state.cov[np.ix_(idx, idx)]
+    )
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:

@@ -12,11 +12,16 @@ read-only array, whose shape (2n, 2n) carries the mode count.
 
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
 package, once, and :func:`_frozen` stores a value object's fields as
-read-only arrays it owns.  :class:`_refusing_overflow` refuses every float
-overflow: a plain class whose ``__enter__`` enters a fresh ``np.errstate``
-that raises on overflow and invalid operations, and whose ``__exit__``
-leaves it and turns a FloatingPointError, or an OverflowError from
-``math``, into one ValueError, so a guarded block costs no generator frame.
+read-only arrays it owns.  :func:`_trusted` builds a value object that the
+library derives from admitted inputs (a state, a channel or a Wigner grid)
+without its constructor: the deriving code runs only the checks its inputs
+have not already passed, and the fresh arrays are stored without a copy.
+
+:class:`_refusing_overflow` refuses every float overflow: a plain class
+whose ``__enter__`` enters a fresh ``np.errstate`` that raises on overflow
+and invalid operations, and whose ``__exit__`` leaves it and turns a
+FloatingPointError, or an OverflowError from ``math``, into one
+ValueError, so a guarded block costs no generator frame.
 :func:`_symmetrized` is the one symmetry (Hermiticity) check, with the one
 tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the package's one matrix
 exponential, and :func:`_flushed` stores the negligible entries of the
@@ -82,6 +87,16 @@ def _frozen(obj, **fields) -> None:
                 value = value.copy()
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` value object holding ``fields``, built without its
+    constructor, for a value derived from admitted inputs.  The caller hands
+    over fresh float arrays that no one else holds; with no caller's value
+    to compare, :func:`_frozen` stores them read-only without a copy."""
+    obj = object.__new__(cls)
+    _frozen(obj, **fields)
+    return obj
 
 
 class _refusing_overflow:
@@ -213,7 +228,12 @@ def check_symplectic(m: np.ndarray, form: np.ndarray | None = None) -> Symplecti
     """
     if form is None:
         form = make_symplectic_form(_n_modes(m, "m"))
-    m = _checked(m, "m", form.shape)
+    return _symplectic_check(_checked(m, "m", form.shape), form)
+
+
+def _symplectic_check(m: np.ndarray, form: np.ndarray) -> SymplecticCheck:
+    """The test of :func:`check_symplectic` on an admitted ``m``: a finite
+    float matrix of the shape of ``form``."""
     omega_inv = form.T
     m_omega_inv = m @ omega_inv
     # Omega^-1 is a signed permutation, so |m Omega^-1| = |m| |Omega^-1|;

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, GridAdequacyWarning
 from .states import GaussianState, _cholesky
-from .symplectic import _checked, _finite, _frozen, _refusing_overflow
+from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _trusted
 
 GRID_TOL = 1e-6
 N_MAX_LAGUERRE = 200
@@ -116,12 +116,19 @@ class WignerGrid:
 
     def __post_init__(self):
         vals = _checked(self.values, "values", (self.grid.n_q, self.grid.n_p))
-        bound = 1.0 / (np.pi * self.grid.hbar)
-        if np.abs(vals).max() > bound + GRID_TOL:
-            raise ValueError(
-                f"|W| exceeds the bound 1/(pi hbar) = {bound:.6g} beyond tolerance"
-            )
-        _frozen(self, values=vals)
+        _frozen(self, values=_bounded(vals, self.grid))
+
+
+def _bounded(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """``values`` after the test that every Wigner grid takes: each |W| is
+    finite and at most 1/(pi hbar) + GRID_TOL; ValueError otherwise."""
+    peak = float(np.abs(values).max())  # NaN if an entry is NaN
+    if not math.isfinite(peak):
+        raise ValueError("values has non-finite entries")
+    bound = 1.0 / (np.pi * grid.hbar)
+    if peak > bound + GRID_TOL:
+        raise ValueError(f"|W| exceeds the bound 1/(pi hbar) = {bound:.6g} beyond tolerance")
+    return values
 
 
 def _warn_if_inadequate(values: np.ndarray, grid: PhaseSpaceGrid) -> None:
@@ -158,7 +165,7 @@ def eval_gaussian(state: GaussianState, grid: PhaseSpaceGrid) -> WignerGrid:
         y2 = (grid.p[None, :] / root_hbar - state.mean[1] - chol[1, 0] * y1) / chol[1, 1]
         values = peak * np.exp(-(y1**2 + y2**2))
     _warn_if_inadequate(values, grid)
-    return WignerGrid(grid=grid, values=values)
+    return _trusted(WignerGrid, grid=grid, values=_bounded(values, grid))
 
 
 def eval_fock(n: int, grid: PhaseSpaceGrid) -> WignerGrid:
@@ -184,7 +191,7 @@ def eval_fock(n: int, grid: PhaseSpaceGrid) -> WignerGrid:
             )
         values = ((-1.0) ** n / (np.pi * grid.hbar)) * damped
     _warn_if_inadequate(values, grid)
-    return WignerGrid(grid=grid, values=values)
+    return _trusted(WignerGrid, grid=grid, values=_bounded(values, grid))
 
 
 @dataclass(frozen=True)
@@ -354,7 +361,7 @@ def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> 
         row[:] = block.sum(axis=0).real
     values *= psi.dx / (np.pi * grid.hbar)
     _warn_if_inadequate(values, grid)
-    return WignerGrid(grid=grid, values=values)
+    return _trusted(WignerGrid, grid=grid, values=_bounded(values, grid))
 
 
 def marginal_q(w: WignerGrid) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConditioningWarning, NotPositiveDefiniteError
 from .symplectic import (
-    _checked, _n_modes, _refusing_overflow, _symmetrized, check_symplectic, make_symplectic_form,
+    _checked, _n_modes, _refusing_overflow, _symmetrized, _symplectic_check, make_symplectic_form,
 )
 
 DEFAULT_WILLIAMSON_TOL = 1e-8
@@ -166,7 +166,7 @@ def williamson_decompose(
         residual = sigma @ f @ sigma.T
         residual[np.diag_indices(2 * n)] -= np.repeat(nu, 2)
         residual_diag = float(np.abs(residual).max())
-    residual_sympl = check_symplectic(sigma, omega).residual
+    residual_sympl = _symplectic_check(sigma, omega).residual  # finite: its products refuse overflow
     return WilliamsonDecomposition(
         nu=nu,
         sigma=sigma,

@@ -254,8 +254,14 @@ class TestMalformedFiles:
             {"n_modes": 1, "ordering": "qqpp", "mean": Z2, "cov": np.eye(2, 3).tolist()},
             {"n_modes": 1, "ordering": "qqpp", "mean": Z2, "cov": [[1.0, 0.0, 0.0, 1.0]]},
             {"n_modes": 1, "ordering": "qqpp", "mean": [[0.0], [0.0]], "cov": E2},
+            {"n_modes": 1.7, "ordering": "qpqp", "mean": Z2, "cov": E2},
+            {"n_modes": True, "ordering": "qpqp", "mean": Z2, "cov": E2},
+            {"n_modes": 1e400, "ordering": "qpqp", "mean": Z2, "cov": E2},
         ],
-        ids=["tag-xyz", "tag-null", "cov4-n1", "mean4-n1", "mean2-n2", "cov2x3", "cov1x4", "mean2d"],
+        ids=[
+            "tag-xyz", "tag-null", "cov4-n1", "mean4-n1", "mean2-n2", "cov2x3", "cov1x4", "mean2d",
+            "n_modes-1.7", "n_modes-true", "n_modes-inf",
+        ],
     )
     def test_state_file(self, tmp_path, capsys, content):
         path, out_path = tmp_path / "s.json", tmp_path / "o.json"
@@ -283,8 +289,11 @@ class TestMalformedFiles:
             {"n_modes": 1, "ordering": "qqpp", "f_bar": E4},
             {"ordering": "qqpp", "f_bar": E2, "alpha": [0.0, 0.0, 0.0]},
             {"ordering": "abc", "f_bar": E2},
+            {"n_modes": 1.5, "f_bar": E2},
+            {"n_modes": False, "f_bar": E2},
+            {"f_bar": 2.0},
         ],
-        ids=["f3x3", "f4x4-n1", "alpha3", "tag-abc"],
+        ids=["f3x3", "f4x4-n1", "alpha3", "tag-abc", "n_modes-1.5", "n_modes-false", "f_bar-scalar"],
     )
     def test_hamiltonian_file(self, tmp_path, capsys, content):
         state_path, out_path = tmp_path / "v.json", tmp_path / "o.json"

@@ -26,7 +26,8 @@ from gaussphase import (
     von_neumann_entropy,
 )
 from gaussphase.cli import state_from_dict
-from gaussphase.states import PHYSICALITY_TOL, PURITY_TOL, _trusted_state
+from gaussphase.states import PHYSICALITY_TOL, PURITY_TOL
+from gaussphase.symplectic import _trusted
 
 
 def test_vacuum_single_mode():
@@ -319,7 +320,7 @@ def test_peak_and_purity_beyond_float_determinant(nu):
 def test_peak_and_purity_refuse_non_positive_definite():
     # the constructor refuses such a covariance; channel outputs and partial
     # traces skip it and can be indefinite in floats
-    state = _trusted_state(1, np.zeros(2), np.diag([1.0, -1.0]))
+    state = _trusted(GaussianState, n_modes=1, mean=np.zeros(2), cov=np.diag([1.0, -1.0]))
     with pytest.raises(UnphysicalStateError, match="not positive definite"):
         eval_gaussian(state, centered_grid(5.0, 5))
     with pytest.raises(UnphysicalStateError, match="not positive definite"):
