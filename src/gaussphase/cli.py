@@ -6,12 +6,15 @@ grids are CSV with ``# key=value`` preamble lines.  All numeric output is
 locale independent and reproducible byte for byte.
 
 Each ``cmd_*`` returns a JSON document, or for ``wigner`` the CSV text and
-optional summary.  Only :func:`main` writes output, prints warnings as
+optional summary.  :func:`main` writes that output, prints warnings as
 ``warning: <message>`` and maps errors to exit codes: 0 success, 2 usage,
-parse or output-file errors, 3 unphysical states or numeric-domain
-failures, 4 violated semantic preconditions (e.g. entanglement entropy of
-a mixed state).  A NaN or infinite number given to an option is a usage
-error, refused with one line naming the option before any work.
+parse or output-file errors and requests too large for memory, 3
+unphysical states or numeric-domain failures, 4 violated semantic
+preconditions (e.g. entanglement entropy of a mixed state).  The one
+other writer is ``evolve --verbose``: :func:`cmd_evolve` prints the
+channel's ``symplectic residual:`` line to stderr itself, once the channel
+is built.  A NaN or infinite number given to an option is a usage error,
+refused with one line naming the option before any work.
 
 Conventions: dimensionless quadratures with vacuum covariance = identity
 (hbar = kB = 1); ``coupled-example`` additionally accepts explicit m and
@@ -136,7 +139,10 @@ def load_state(path: str) -> states.GaussianState:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read state file {path}: {exc}") from exc
-    return state_from_dict(data)
+    try:
+        return state_from_dict(data)
+    except FileFormatError as exc:  # its cause is the reason, without a path
+        raise FileFormatError(f"invalid state file {path}: {exc.__cause__}") from exc.__cause__
 
 
 def _json_dump(obj) -> str:
@@ -511,6 +517,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except (FileFormatError, DimensionError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an environment limit, like an unwritable --out
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (UnphysicalStateError, NoGroundStateError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
-"""Every row of the CLI corpus (``tests/cli_corpus.py``): its exit code, one
-``error:`` line and no output file on a refusal, and a ``warning:`` line
-only where the row expects one."""
+"""Every row of the CLI corpus (``tests/cli_corpus.py``), run in process and
+checked by ``cli_corpus.check``; a row that exits 0 for every option of
+the parser; and the same output from both file orderings."""
+
+import argparse
 
 import pytest
-from cli_corpus import CORPUS, run_corpus
+from cli_corpus import CORPUS, check, row_id, run_corpus
+
+from gaussphase.cli import build_parser
 
 
 @pytest.fixture(scope="module")
@@ -11,25 +15,33 @@ def results(tmp_path_factory):
     return run_corpus(str(tmp_path_factory.mktemp("corpus")))
 
 
-def _row_id(row):
-    return row.argv if row.out is None else f"{row.argv} --out {row.out}"
-
-
-@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[_row_id(row) for row in CORPUS])
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[row_id(row) for row in CORPUS])
 def test_row(results, index):
-    row, result = CORPUS[index], results[index]
-    assert result.code == row.code, result.stderr
-    lines = result.stderr.splitlines()
-    errors = [line for line in lines if line.startswith("error: ")]
-    warnings = [line for line in lines if line.startswith("warning: ")]
-    if row.code == 0:
-        assert not errors
-        assert (result.out is not None) == (row.out is not None)
-        assert result.stdout or result.out
-    else:
-        assert len(errors) == 1 and result.out is None and result.stdout == ""
-    assert bool(warnings) == row.warns, lines
-    assert all(line.startswith(("error: ", "warning: ", "symplectic residual: ")) for line in lines)
+    problems = check(CORPUS[index], results[index])
+    assert not problems, problems
+
+
+def _options(parser, command=()):
+    """(command words, long option string) for every option of ``parser``
+    and of its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, (*command, name))
+        elif action.option_strings:
+            yield command, max(action.option_strings, key=len)
+
+
+def test_every_option_has_a_row_that_exits_0():
+    options = set(_options(build_parser()))
+    commands = {command for command, _ in options}
+    covered = set()
+    for row in CORPUS:
+        if row.code == 0:
+            words = row.argv.split() + ([] if row.out is None else ["--out"])
+            command = max((c for c in commands if tuple(words[: len(c)]) == c), key=len)
+            covered |= {(command, w.split("=")[0]) for w in words if w.startswith("--")}
+    assert not options - covered, sorted(options - covered)
 
 
 def _stdout(results, argv):
@@ -41,12 +53,18 @@ def _stdout(results, argv):
     "rows",
     [
         ["williamson m2.json", "williamson m2_qqpp.json"],
+        ["williamson m3.json", "williamson m3_qqpp.json"],
         [
             "evolve m2.json --hamiltonian hq.json --time 0.7",
             "evolve m2_qqpp.json --hamiltonian hq.json --time 0.7",
         ],
+        [
+            "evolve m2.json --builtin tms --r 0.5 --time 1",
+            "evolve m2_qqpp.json --builtin tms --r 0.5 --time 1",
+        ],
+        ["evolve m3.json --builtin rotate --time 1", "evolve m3_qqpp.json --builtin rotate --time 1"],
     ],
-    ids=["williamson", "evolve-state"],
+    ids=["williamson", "williamson-3-modes", "evolve-state", "evolve-builtin", "evolve-3-modes"],
 )
 def test_orderings_give_the_same_output(results, rows):
     first, second = (_stdout(results, argv) for argv in rows)
