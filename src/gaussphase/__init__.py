@@ -18,8 +18,9 @@ _EXPORTS = {
         rotation_hamiltonian squeeze_hamiltonian two_mode_squeeze_hamiltonian""",
     "entropy": """EntropyResult entanglement_entropy entropy_from_spectrum tmsv_temperature
         von_neumann_entropy""",
-    "errors": """ConditioningWarning DimensionError GaussPhaseError GridAdequacyWarning
-        NoGroundStateError NotPositiveDefiniteError NotPureError TruncationError
+    "errors": """ConditioningWarning DimensionError DomainError GaussPhaseError
+        GridAdequacyWarning InputError ModeIndexError NoGroundStateError
+        NotPositiveDefiniteError NotPureError ParameterError TruncationError
         UnphysicalStateError""",
     "fock": "",
     "states": """GaussianState PhysicalityReport PurityReport coherent partial_trace

@@ -7,10 +7,13 @@ locale independent and reproducible byte for byte.
 
 Each ``cmd_*`` returns a JSON document, or for ``wigner`` the CSV text and
 optional summary.  :func:`main` writes that output, prints warnings as
-``warning: <message>`` and maps errors to exit codes: 0 success, 2 usage,
-parse or output-file errors and requests too large for memory, 3
-unphysical states or numeric-domain failures, 4 violated semantic
-preconditions (e.g. entanglement entropy of a mixed state).  The one
+``warning: <message>`` and maps an error's class to an exit code: 0
+success; 2 for an :class:`~gaussphase.errors.InputError` (a malformed
+option, file, shape, parameter or mode index), an ``OSError`` and a
+``MemoryError``; 3 for any other ``GaussPhaseError`` (an unphysical state
+or a number that cannot be computed) and numpy's ``LinAlgError``; 4 for
+``NotPureError`` (entanglement entropy of a mixed state).  Any other
+exception is a bug: it escapes with its traceback and exit code 1.  The one
 other writer is ``evolve --verbose``: :func:`cmd_evolve` prints the
 channel's ``symplectic residual:`` line to stderr itself, once the channel
 is built.  A NaN or infinite number given to an option is a usage error,
@@ -38,7 +41,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NoGroundStateError, NotPureError, UnphysicalStateError
+from .errors import (
+    DimensionError, GaussPhaseError, InputError, NoGroundStateError, NotPureError, ParameterError,
+)
 from .symplectic import _refusing_overflow
 
 if TYPE_CHECKING:
@@ -49,10 +54,8 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_PRECONDITION = 4
 
-_BLOCKWISE_TAGS = {"qpqp": False, "qqpp": True}
 
-
-class FileFormatError(Exception):
+class FileFormatError(InputError):
     """Input file could not be parsed into the expected structure."""
 
 
@@ -85,28 +88,27 @@ def _to_pairwise(tag: str, n_modes: int, *arrays: np.ndarray | None) -> list:
     2k is blockwise entry k (q_k) and 2k + 1 is n + k (p_k).
 
     Raises:
-        KeyError: for an unknown tag.
+        ParameterError: for a tag other than ``"qpqp"`` and ``"qqpp"``.
         DimensionError: for a blockwise array of any other shape.
     """
-    if not _BLOCKWISE_TAGS[tag]:
+    if tag not in ("qpqp", "qqpp"):  # a tuple: an unhashable tag is unknown too
+        raise ParameterError(f'unknown ordering {tag!r} (expected "qpqp" or "qqpp")')
+    if tag == "qpqp":
         return list(arrays)
     dim = 2 * n_modes
-    idx = np.arange(dim).reshape(2, -1).T.ravel()
-    out = []
     for a in arrays:
-        if a is not None:
-            if a.shape not in ((dim,), (dim, dim)):
-                raise DimensionError(f"shape {a.shape} does not match {n_modes} modes")
-            a = a[idx] if a.ndim == 1 else a[np.ix_(idx, idx)]
-        out.append(a)
-    return out
+        if a is not None and a.shape not in ((dim,), (dim, dim)):
+            raise DimensionError(f"shape {a.shape} does not match {n_modes} modes")
+    # only now, with dim an array's size: a file's n_modes alone could be any size
+    idx = np.arange(dim).reshape(2, -1).T.ravel()
+    return [a if a is None else a[idx] if a.ndim == 1 else a[np.ix_(idx, idx)] for a in arrays]
 
 
 def _mode_count(value) -> int:
     """The mode count ``n_modes`` read from a file: an integer, or a float
-    or string that int() reads exactly; ValueError for a bool or a fraction."""
+    or string that int() reads exactly; ParameterError for a bool or a fraction."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"n_modes must be an integer, got {value!r}")
+        raise ParameterError(f"n_modes must be an integer, got {value!r}")
     return int(value)
 
 
@@ -137,7 +139,7 @@ def load_state(path: str) -> states.GaussianState:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read state file {path}: {exc}") from exc
     try:
         return state_from_dict(data)
@@ -192,7 +194,7 @@ def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
         f_bar = np.asarray(data["f_bar"], dtype=float)
         alpha = np.asarray(data["alpha"], dtype=float) if "alpha" in data else None
         if f_bar.ndim == 0:  # before its size gives the default n_modes
-            raise ValueError(f"f_bar must be a matrix, got the scalar {f_bar}")
+            raise DimensionError(f"f_bar must be a matrix, got the scalar {f_bar}")
         n_modes = _mode_count(data.get("n_modes", f_bar.shape[0] // 2))
         f_bar, alpha = _to_pairwise(data.get("ordering", "qpqp"), n_modes, f_bar, alpha)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -317,18 +319,15 @@ def cmd_wigner(args) -> tuple[str, dict | None]:
         raise FileFormatError("provide exactly one of STATE, --fock or --coherent")
     q_min, q_max = _parse_range(args.qrange, "--qrange")
     p_min, p_max = _parse_range(args.prange, "--prange")
-    try:
-        grid = wigner.PhaseSpaceGrid(
-            q_min=q_min,
-            q_max=q_max,
-            p_min=p_min,
-            p_max=p_max,
-            n_q=args.nq,
-            n_p=args.np,
-            hbar=args.hbar,
-        )
-    except ValueError as exc:  # the grid comes from command-line arguments alone
-        raise FileFormatError(str(exc)) from exc
+    grid = wigner.PhaseSpaceGrid(
+        q_min=q_min,
+        q_max=q_max,
+        p_min=p_min,
+        p_max=p_max,
+        n_q=args.nq,
+        n_p=args.np,
+        hbar=args.hbar,
+    )
     if args.fock is not None:
         w = wigner.eval_fock(args.fock, grid)
         descriptor = f"fock:{args.fock}"
@@ -515,13 +514,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotPureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (FileFormatError, DimensionError, IndexError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # an environment limit, like an unwritable --out
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnphysicalStateError, NoGroundStateError, np.linalg.LinAlgError, ValueError) as exc:
+    except (GaussPhaseError, np.linalg.LinAlgError) as exc:  # LinAlgError: a refused factorization
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

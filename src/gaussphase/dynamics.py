@@ -24,7 +24,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DimensionError, NoGroundStateError, NotPositiveDefiniteError
+from .errors import (
+    DimensionError, DomainError, NoGroundStateError, NotPositiveDefiniteError, ParameterError,
+)
 from .states import GaussianState
 from .symplectic import (
     _checked, _expm, _finite, _flushed, _frozen, _n_modes, _refusing_overflow, _symmetrized,
@@ -118,10 +120,10 @@ class GaussianChannel:
 
 
 def _symplectic_residual(s: np.ndarray, omega: np.ndarray) -> float:
-    """The residual of an admitted ``s``; ValueError if it is not symplectic."""
+    """The residual of an admitted ``s``; DomainError if it is not symplectic."""
     ok, residual = _symplectic_check(s, omega)
     if not ok:
-        raise ValueError(f"s is not symplectic (residual {residual:.3e})")
+        raise DomainError(f"s is not symplectic (residual {residual:.3e})")
     return residual
 
 
@@ -205,7 +207,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     scaling-and-squaring Pade method of Al-Mohy & Higham, SIAM J. Matrix
     Anal. Appl. 31, 970 (2009), so d needs no inversion of Omega^-1 Fbar,
     and a zero Fbar gives S = 1 exactly.  A non-finite ``t``, or one so
-    large that S overflows, raises ValueError without a warning.  Entries
+    large that S overflows, raises DomainError without a warning.  Entries
     of S below 2^-500 max|S| are stored as exact zeros (see
     :func:`~gaussphase.symplectic._flushed`), so that products with S do
     not run on subnormal numbers.
@@ -264,17 +266,19 @@ def evolve_ode(
     state stays pure.
 
     Raises:
-        ValueError: if ``t`` or ``dt`` is not finite, ``dt`` <= 0 or ``t`` < 0,
-            or if a callable would take more than 2^53 steps, beyond which
-            the step start k * (t / n_steps) no longer advances exactly.
+        DomainError: if ``t`` or ``dt`` is not finite, or the propagator
+            overflows.
+        ParameterError: if ``dt`` <= 0 or ``t`` < 0, or if a callable would
+            take more than 2^53 steps, beyond which the step start
+            k * (t / n_steps) no longer advances exactly.
         DimensionError: if the Hamiltonian (for a callable, each one it
             returns) does not act on the state's modes.
     """
     _finite(np.array([t, dt]), "(t, dt)")
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ParameterError("dt must be positive")
     if t < 0:
-        raise ValueError("t must be non-negative")
+        raise ParameterError("t must be non-negative")
     if not callable(h):
         return apply_channel(generate_channel(h, t), state)
     omega = make_symplectic_form(state.n_modes)
@@ -282,7 +286,7 @@ def evolve_ode(
     with _refusing_overflow(f"the propagator up to t = {t}"):  # an infinite t / dt too
         n_steps = max(1, math.ceil(t / dt - 1e-12))
         if n_steps > 2**53:  # beyond it, k * step no longer advances exactly
-            raise ValueError(f"t / dt = {t / dt:.3e} asks for more than 2^53 Magnus steps")
+            raise ParameterError(f"t / dt = {t / dt:.3e} asks for more than 2^53 Magnus steps")
         step = t / n_steps
         nodes = (0.5 - math.sqrt(3.0) / 6.0) * step, (0.5 + math.sqrt(3.0) / 6.0) * step
         for k in range(n_steps):

@@ -24,7 +24,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import NotPureError, UnphysicalStateError
+from .errors import ModeIndexError, NotPureError, ParameterError, UnphysicalStateError
 from .states import PHYSICALITY_TOL, GaussianState, partial_trace, purity
 from .symplectic import _finite, _refusing_overflow
 
@@ -84,7 +84,7 @@ def entanglement_entropy(
     Raises:
         NotPureError: if the global state is mixed; the quantity is then
             not an entanglement measure and is refused rather than returned.
-        IndexError: if the partition is empty, out of range or repeats a
+        ModeIndexError: if the partition is empty, out of range or repeats a
             mode (refused by :func:`partial_trace`), or is the whole system.
     """
     report = purity(state)
@@ -95,7 +95,7 @@ def entanglement_entropy(
         )
     reduced = partial_trace(state, partition)
     if reduced.n_modes == state.n_modes:
-        raise IndexError("partition must be a proper subset of the modes")
+        raise ModeIndexError("partition must be a proper subset of the modes")
     return von_neumann_entropy(reduced, log_base)
 
 
@@ -114,14 +114,15 @@ def tmsv_temperature(r: float, omega: float = 1.0) -> TmsvThermalParams:
     -2 artanh(e^-2r), since tanh r rounds to 1 from r ~ 19 on.
 
     Raises:
-        ValueError: if r < 0, omega <= 0 or either is not finite, or if
-            Z = cosh^2 r (from r ~ 355.6 on) or T overflows.
+        ParameterError: if r < 0 or omega <= 0.
+        DomainError: if r or omega is not finite, or if Z = cosh^2 r (from
+            r ~ 355.6 on) or T overflows.
     """
     _finite(np.array([r, omega]), "(r, omega)")
     if r < 0:
-        raise ValueError("r must be non-negative")
+        raise ParameterError("r must be non-negative")
     if omega <= 0:
-        raise ValueError("omega must be positive")
+        raise ParameterError("omega must be positive")
     if r == 0.0:
         return TmsvThermalParams(temperature=0.0, partition_function=1.0)
     log_tanh = math.log(math.tanh(r)) if r < 1.0 else -2.0 * math.atanh(math.exp(-2.0 * r))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, TruncationError
+from .errors import DimensionError, DomainError, ModeIndexError, ParameterError, TruncationError
 from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _symmetrized
 
 COHERENT_TAIL_TOL = 1e-12
@@ -48,7 +48,7 @@ class FockState:
         amp = _checked(amp, "amplitudes", (self.dim**self.n_modes,), complex)
         norm = np.linalg.norm(amp)
         if norm == 0:
-            raise ValueError("state vector is zero")
+            raise DomainError("state vector is zero")
         _frozen(self, amplitudes=amp / norm)
 
 
@@ -64,9 +64,9 @@ class FockDensity:
         rho = _symmetrized(rho, "density matrix")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr} != 1")
+            raise DomainError(f"density matrix trace {tr} != 1")
         if np.linalg.eigvalsh(rho)[0] < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+            raise DomainError("density matrix has a negative eigenvalue beyond tolerance")
         _frozen(self, matrix=rho)
 
 
@@ -129,7 +129,7 @@ def coherent_vector(alpha: complex, dim: int) -> FockState:
     """Coherent state |alpha> = e^{-|alpha|^2/2} sum alpha^n/sqrt(n!) |n>.
 
     Raises:
-        ValueError: if ``alpha`` is not finite.
+        DomainError: if ``alpha`` is not finite.
         TruncationError: if the truncated expansion loses more than
             ``COHERENT_TAIL_TOL`` probability mass.
     """
@@ -173,7 +173,7 @@ def displacement_matrix(eta: complex, dim: int) -> np.ndarray:
     basis wherever |eta|^2 < dim/4.
 
     Raises:
-        ValueError: naming ``eta``, if it is not finite, if |eta|^2
+        DomainError: naming ``eta``, if it is not finite, if |eta|^2
             overflows, or if the Laguerre table overflows (from |eta|^2 of
             about 2.4e31 at dim = 10, 1.6e4 at dim = 120 and 1.5e3 at
             dim = 300).
@@ -203,7 +203,7 @@ def squeezed_vacuum_vector(r: float, theta: float = 0.0, dim: int = 60) -> FockS
     and the odd amplitudes are exactly zero.
 
     Raises:
-        ValueError: if ``r`` or ``theta`` is not finite.
+        DomainError: if ``r`` or ``theta`` is not finite.
         TruncationError: if the truncated expansion loses more than
             ``SQUEEZED_TAIL_TOL`` probability mass.
     """
@@ -245,7 +245,7 @@ def tmsv_vector(r: float, theta: float = 0.0, dim: int = 40) -> FockState:
     ``tmsv_vector(r/2)`` (see README on the factor-of-two convention).
 
     Raises:
-        ValueError: if ``r`` or ``theta`` is not finite.
+        DomainError: if ``r`` or ``theta`` is not finite.
         TruncationError: if tanh(r)^(2 dim) exceeds ``TMSV_TAIL_TOL``.
     """
     _check_dim(dim)
@@ -269,13 +269,14 @@ def thermal_density(nbar: float, dim: int) -> FockDensity:
     the cutoff.
 
     Raises:
-        ValueError: if ``nbar`` is negative or not finite.
+        ParameterError: if ``nbar`` is negative.
+        DomainError: if ``nbar`` is not finite.
         TruncationError: if x^dim exceeds ``THERMAL_TAIL_TOL``.
     """
     _check_dim(dim)
     _finite(nbar, "nbar")
     if nbar < 0:
-        raise ValueError("nbar must be non-negative")
+        raise ParameterError("nbar must be non-negative")
     x = nbar / (1.0 + nbar)
     tail = x**dim
     if tail > THERMAL_TAIL_TOL:
@@ -300,7 +301,7 @@ def reduced_density(state: FockState, keep: int = 0) -> FockDensity:
     if state.n_modes != 2:
         raise DimensionError("reduced_density expects a two-mode state")
     if keep not in (0, 1):
-        raise IndexError("keep must be 0 or 1")
+        raise ModeIndexError("keep must be 0 or 1")
     psi = state.amplitudes.reshape(state.dim, state.dim)
     rho = psi @ psi.conj().T if keep == 0 else psi.T @ psi.conj()
     rho = rho / np.trace(rho).real

@@ -23,8 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, UnphysicalStateError
-from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _symmetrized, _trusted
+from .errors import DimensionError, ModeIndexError, ParameterError, UnphysicalStateError
+from .symplectic import (
+    _MAX_FLOATS, _checked, _finite, _frozen, _refusing_overflow, _symmetrized, _trusted,
+)
 from .williamson import symplectic_spectrum
 
 PHYSICALITY_TOL = 1e-8
@@ -88,6 +90,8 @@ def vacuum(n_modes: int) -> GaussianState:
     if n_modes < 1:
         raise DimensionError(f"n_modes must be >= 1, got {n_modes}")
     dim = 2 * n_modes
+    if dim * dim > _MAX_FLOATS:
+        raise ParameterError(f"{n_modes} modes need a covariance matrix beyond addressable memory")
     return _trusted(GaussianState, n_modes=n_modes, mean=np.zeros(dim), cov=np.eye(dim))
 
 
@@ -137,7 +141,8 @@ def squeezed_vacuum(r: float, theta: float = 0.0) -> GaussianState:
     """
     _finite(np.array([r, theta]), "squeezing (r, theta)")
     with _refusing_overflow(f"squeezing r = {r}"):
-        small, large = np.exp(-2 * r), np.exp(2 * r)
+        two_r = 2 * np.float64(r)  # a float 2r would overflow to inf unrefused
+        small, large = np.exp(-two_r), np.exp(two_r)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     off = (small - large) * c * s
     cov = np.array([[small * c * c + large * s * s, off], [off, small * s * s + large * c * c]])
@@ -187,11 +192,11 @@ def partial_trace(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     """
     keep = list(keep)
     if len(keep) == 0:
-        raise IndexError("keep must contain at least one mode index")
+        raise ModeIndexError("keep must contain at least one mode index")
     if len(set(keep)) != len(keep):
-        raise IndexError("keep contains duplicate mode indices")
+        raise ModeIndexError("keep contains duplicate mode indices")
     if any(k < 0 or k >= state.n_modes for k in keep):
-        raise IndexError(f"mode indices {keep} out of range for {state.n_modes} modes")
+        raise ModeIndexError(f"mode indices {keep} out of range for {state.n_modes} modes")
     idx = np.concatenate([[2 * k, 2 * k + 1] for k in keep])
     return _trusted(
         GaussianState, n_modes=len(keep), mean=state.mean[idx], cov=state.cov[np.ix_(idx, idx)]

@@ -21,7 +21,7 @@ have not already passed, and the fresh arrays are stored without a copy.
 whose ``__enter__`` enters a fresh ``np.errstate`` that raises on overflow
 and invalid operations, and whose ``__exit__`` leaves it and turns a
 FloatingPointError, or an OverflowError from ``math``, into one
-ValueError, so a guarded block costs no generator frame.
+DomainError, so a guarded block costs no generator frame.
 :func:`_symmetrized` is the one symmetry (Hermiticity) check, with the one
 tolerance ``SYMMETRY_TOL``.  :func:`_expm` is the package's one matrix
 exponential, and :func:`_flushed` stores the negligible entries of the
@@ -35,14 +35,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
+
+# the most float64 entries one array can address; numpy refuses more with a plain ValueError
+_MAX_FLOATS = sys.maxsize // 8
 
 
 # scalar types that cmath.isfinite tests exactly, without an array round trip;
@@ -51,14 +55,14 @@ _FLOAT_SCALARS = (float, complex, np.float16, np.float32, np.complex64)
 
 
 def _finite(a, name: str) -> None:
-    """Raises ValueError naming ``a`` if an entry is NaN or infinite."""
+    """Raises DomainError naming ``a`` if an entry is NaN or infinite."""
     if not (cmath.isfinite(a) if isinstance(a, _FLOAT_SCALARS) else np.isfinite(a).all()):
-        raise ValueError(f"{name} has non-finite entries")
+        raise DomainError(f"{name} has non-finite entries")
 
 
 def _checked(a, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """``a`` as an array of ``dtype``; raises DimensionError if its shape
-    is not ``shape`` and ValueError if an entry is NaN or infinite."""
+    is not ``shape`` and DomainError if an entry is NaN or infinite."""
     a = np.asarray(a, dtype=dtype)
     if a.shape != shape:
         raise DimensionError(f"{name} must have shape {shape}, got {a.shape}")
@@ -101,12 +105,13 @@ def _trusted(cls, **fields):
 
 class _refusing_overflow:
     """Refuses float overflow and invalid operations in its block, and any
-    OverflowError from ``math``, with one ValueError naming ``what``."""
+    OverflowError from ``math``, with one ``error`` naming ``what``."""
 
-    __slots__ = ("what", "_errstate")
+    __slots__ = ("what", "error", "_errstate")
 
-    def __init__(self, what: str):
+    def __init__(self, what: str, error: type[Exception] = DomainError):
         self.what = what
+        self.error = error
 
     def __enter__(self) -> None:
         self._errstate = np.errstate(over="raise", invalid="raise")
@@ -115,7 +120,7 @@ class _refusing_overflow:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._errstate.__exit__(exc_type, exc, tb)
         if exc_type is not None and issubclass(exc_type, (FloatingPointError, OverflowError)):
-            raise ValueError(f"{self.what} gives non-finite values (float overflow)") from None
+            raise self.error(f"{self.what} gives non-finite values (float overflow)") from None
 
 
 def _n_modes(m, name: str) -> int:
@@ -133,7 +138,7 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     first is exact for normal floats, and no finite ``m`` overflows.
 
     Raises:
-        ValueError: naming the matrix, if max|m - m^dag| exceeds
+        DomainError: naming the matrix, if max|m - m^dag| exceeds
             SYMMETRY_TOL * max(1, max|m|).
     """
     half = 0.5 * m
@@ -141,7 +146,7 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     asym = 2.0 * float(np.abs(half - half_dag).max())  # a float product: no warning
     # asym > tol * max(1, max|m|), with max|m| formed only past the absolute bound
     if asym > SYMMETRY_TOL and asym > SYMMETRY_TOL * np.abs(m).max():
-        raise ValueError(f"{name} asymmetry {asym:.3e} exceeds tolerance")
+        raise DomainError(f"{name} asymmetry {asym:.3e} exceeds tolerance")
     return half + half_dag
 
 
@@ -223,7 +228,7 @@ def check_symplectic(m: np.ndarray, form: np.ndarray | None = None) -> Symplecti
     Raises:
         DimensionError: if ``m`` is not square of even size, or does not
             match ``form``.
-        ValueError: if an entry of ``m`` is NaN or infinite, or if
+        DomainError: if an entry of ``m`` is NaN or infinite, or if
             m Omega^-1 m^T overflows.
     """
     if form is None:

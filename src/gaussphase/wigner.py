@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, GridAdequacyWarning
+from .errors import DimensionError, DomainError, GridAdequacyWarning, ParameterError
 from .states import GaussianState, _cholesky
-from .symplectic import _checked, _finite, _frozen, _refusing_overflow, _trusted
+from .symplectic import _MAX_FLOATS, _checked, _finite, _frozen, _refusing_overflow, _trusted
 
 GRID_TOL = 1e-6
 N_MAX_LAGUERRE = 200
@@ -39,7 +39,13 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Rectangular grid over one phase-space plane (q, p)."""
+    """Rectangular grid over one phase-space plane (q, p).
+
+    Bounds or hbar that are not finite are refused with DomainError.  Any
+    other grid that cannot be formed is refused with ParameterError: a span
+    that is not positive or overflows, fewer than 2 points on an axis, more
+    points than memory can address, or hbar <= 0.
+    """
 
     q_min: float
     q_max: float
@@ -52,14 +58,16 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         bounds = np.array([self.q_min, self.q_max, self.p_min, self.p_max, self.hbar])
         _finite(bounds, "grid bounds and hbar")
-        with _refusing_overflow("grid span q_max - q_min or p_max - p_min"):
+        with _refusing_overflow("grid span q_max - q_min or p_max - p_min", ParameterError):
             spans = bounds[[1, 3]] - bounds[[0, 2]]
         if (spans <= 0).any():  # a - b = 0 only if a = b, even for subnormal a - b
-            raise ValueError("grid bounds must satisfy q_max > q_min and p_max > p_min")
+            raise ParameterError("grid bounds must satisfy q_max > q_min and p_max > p_min")
         if self.n_q < 2 or self.n_p < 2:
-            raise ValueError("need at least 2 points per axis")
+            raise ParameterError("need at least 2 points per axis")
+        if self.n_q * self.n_p > _MAX_FLOATS:
+            raise ParameterError(f"a {self.n_q} x {self.n_p} grid is beyond addressable memory")
         if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+            raise ParameterError("hbar must be positive")
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -121,13 +129,13 @@ class WignerGrid:
 
 def _bounded(values: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """``values`` after the test that every Wigner grid takes: each |W| is
-    finite and at most 1/(pi hbar) + GRID_TOL; ValueError otherwise."""
+    finite and at most 1/(pi hbar) + GRID_TOL; DomainError otherwise."""
     peak = float(np.abs(values).max())  # NaN if an entry is NaN
     if not math.isfinite(peak):
-        raise ValueError("values has non-finite entries")
+        raise DomainError("values has non-finite entries")
     bound = 1.0 / (np.pi * grid.hbar)
     if peak > bound + GRID_TOL:
-        raise ValueError(f"|W| exceeds the bound 1/(pi hbar) = {bound:.6g} beyond tolerance")
+        raise DomainError(f"|W| exceeds the bound 1/(pi hbar) = {bound:.6g} beyond tolerance")
     return values
 
 
@@ -178,9 +186,9 @@ def eval_fock(n: int, grid: PhaseSpaceGrid) -> WignerGrid:
     Lt_k = e^{-x/2} L_k(x), which never overflows.
     """
     if n < 0:
-        raise ValueError("n must be a non-negative integer")
+        raise ParameterError("n must be a non-negative integer")
     if n > N_MAX_LAGUERRE:
-        raise ValueError(f"n = {n} exceeds the stable range (n <= {N_MAX_LAGUERRE})")
+        raise ParameterError(f"n = {n} exceeds the stable range (n <= {N_MAX_LAGUERRE})")
     with _refusing_overflow("the Fock Wigner function on this grid"):
         x = 2.0 * (grid.q[:, None] ** 2 + grid.p[None, :] ** 2) / grid.hbar
         damped, damped_prev = np.exp(-0.5 * x), 0.0  # e^{-x/2} L_0, and L_{-1} = 0
@@ -213,7 +221,7 @@ class SampledWavefunction:
             raise DimensionError("need at least 2 samples")
         _finite(np.array([self.x_min, self.x_max]), "sampling window")
         if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ParameterError("x_max must exceed x_min")
         # the exact power of two 2^-e brings the largest real or imaginary part into
         # [1/2, 1): |psi|^2 neither overflows nor underflows, and 2^-e cancels below
         parts = np.ascontiguousarray(psi).view(float)
@@ -223,7 +231,7 @@ class SampledWavefunction:
             x = np.linspace(self.x_min, self.x_max, psi.size)
             norm_sq = np.trapezoid(np.abs(psi) ** 2, x)
         if norm_sq <= 0:
-            raise ValueError("wavefunction has zero norm")
+            raise DomainError("wavefunction has zero norm")
         try:
             deviation = abs(math.ldexp(norm_sq, 2 * e) - 1.0)
         except OverflowError:
@@ -251,7 +259,7 @@ def oscillator_eigenfunction(n: int, x: np.ndarray, hbar: float = 1.0) -> np.nda
     z = x / sqrt(hbar), which is stable for the moderate n used here.
     """
     if not hbar > 0:
-        raise ValueError("hbar must be positive")
+        raise ParameterError("hbar must be positive")
     with _refusing_overflow("z = x / sqrt(hbar)"):
         z = np.asarray(x, dtype=float) / np.sqrt(hbar)
         phi, phi_prev = np.pi ** (-0.25) * np.exp(-0.5 * z**2), 0.0  # phi_0, and phi_{-1} = 0
@@ -296,7 +304,7 @@ def wigner_from_wavefunction(psi: SampledWavefunction, grid: PhaseSpaceGrid) -> 
     q spacing for the advertised accuracy; a warning is emitted otherwise.
     """
     if grid.q_min < psi.x_min or grid.q_max > psi.x_max:
-        raise ValueError("grid q-range must lie inside the wavefunction window")
+        raise ParameterError("grid q-range must lie inside the wavefunction window")
     if psi.dx > 0.25 * grid.dq:
         warnings.warn(
             f"wavefunction step {psi.dx:.3g} is coarser than a quarter of the grid "

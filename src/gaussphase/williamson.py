@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningWarning, NotPositiveDefiniteError
+from .errors import ConditioningWarning, DomainError, NotPositiveDefiniteError
 from .symplectic import (
     _checked, _n_modes, _refusing_overflow, _symmetrized, _symplectic_check, make_symplectic_form,
 )
@@ -56,7 +56,7 @@ def _core(
     Raises:
         DimensionError: if ``f`` is not square of even dimension, or does
             not match ``form``.
-        ValueError: if ``f`` has non-finite entries, is not symmetric or overflows Y.
+        DomainError: if ``f`` has non-finite entries, is not symmetric or overflows Y.
         NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
     omega = make_symplectic_form(_n_modes(f, "f")) if form is None else form
@@ -84,7 +84,7 @@ def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
     n = lam.size // 2
     low, high = lam[:n], lam[n:][::-1]
     if low[-1] >= 0 or np.abs(low + high).max() > DEFAULT_WILLIAMSON_TOL * np.abs(lam).max():
-        raise ValueError(
+        raise DomainError(
             "eigenvalues of iY do not pair up as -1/nu, +1/nu; numerically degenerate input"
         )
     return -1.0 / low
@@ -98,9 +98,10 @@ def symplectic_spectrum(f: np.ndarray, form: np.ndarray | None = None) -> np.nda
     spectrum is the n values nu_i sorted ascending.
 
     Raises:
-        ValueError: if ``f`` is not symmetric positive definite, or if the
+        DomainError: if ``f`` is not symmetric, or if the
             eigenvalues of iY fail to pair up within
             DEFAULT_WILLIAMSON_TOL * max|1/nu| (numerical degeneracy).
+        NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
     _, _, _, y = _core(f, form)
     return _nu_from_iy(np.linalg.eigvalsh(1j * y))
@@ -148,8 +149,9 @@ def williamson_decompose(
     Raises:
         DimensionError: if ``f`` is not square of even size, or does not
             match ``form``.
-        ValueError: if ``f`` is not symmetric positive definite, or its iY
-            spectrum does not pair up (see :func:`symplectic_spectrum`).
+        DomainError: if ``f`` is not symmetric, or its iY spectrum does
+            not pair up (see :func:`symplectic_spectrum`).
+        NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
     f, omega, f_inv_sqrt, y = _core(f, form)
     n = len(f) // 2

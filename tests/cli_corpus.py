@@ -119,6 +119,8 @@ def _inputs() -> dict:
         "cov_nan.json": state(cov=[[1.0, math.nan], [math.nan, 1.0]]),
         "cov_inf.json": state(cov=[[1.0, math.inf], [math.inf, 1.0]]),
         "mean_nan.json": state(mean=[0.0, math.nan]),
+        # a file that is not UTF-8 text, written as its raw bytes
+        "utf16.json": b"\xff\xfe{",
         # malformed Hamiltonian files
         "h15.json": {"n_modes": 1.5, "f_bar": eye2},
         "hfalse.json": {"n_modes": False, "f_bar": eye2},
@@ -127,6 +129,11 @@ def _inputs() -> dict:
         "h4_n1.json": {"n_modes": 1, "ordering": "qqpp", "f_bar": eye4},
         "halpha3.json": {"ordering": "qqpp", "f_bar": eye2, "alpha": [0.0, 0.0, 0.0]},
         "htag.json": {"ordering": "abc", "f_bar": eye2},
+        # the files that README's "Command line" block reads and no earlier line of it writes
+        "ham.json": {"n_modes": 2, "f_bar": [
+            [1.5, 0.0, -0.5, 0.0], [0.0, 1.0, 0.0, 0.0], [-0.5, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 1.0]
+        ]},
+        "tmsv_reduced.json": state(cov=[[math.cosh(1.0), 0.0], [0.0, math.cosh(1.0)]]),
     }
 
 
@@ -150,6 +157,10 @@ CORPUS = [
     Row("state make tmsv --r 0.5 --theta 0.3", 0),
     Row("state make squeezed --r 400", 3, "s.json",
         ("error: squeezing r = 400.0 gives non-finite values (float overflow)",)),
+    Row("state make squeezed --r 1e308", 3, "s308.json",
+        ("error: squeezing r = 1e+308 gives non-finite values (float overflow)",)),
+    Row("state make squeezed --r=-1e308", 3, "sm308.json",
+        ("error: squeezing r = -1e+308 gives non-finite values (float overflow)",)),
     Row("state make tmsv --r 800", 3, "t8.json",
         ("error: squeezing r = 800.0 gives non-finite values (float overflow)",)),
     # squeezed_vacuum(15, 0.3)'s float covariance has no Cholesky factor
@@ -179,6 +190,8 @@ CORPUS = [
         "gaussphase state make: error: argument --nu: invalid float value: 'x'",
     )),
     Row("state make vacuum --modes 0", 2, "v0.json", ("error: n_modes must be >= 1, got 0",)),
+    Row("state make vacuum --modes 4611686018427387904", 2, "vbig.json",
+        ("error: 4611686018427387904 modes need a covariance matrix beyond addressable memory",)),
     Row("state make vacuum", 2, "missing_dir/v.json",
         ("error: [Errno 2] No such file or directory: 'missing_dir/v.json'",)),
     Row("state make unknown-kind", 2, None, (
@@ -237,7 +250,7 @@ CORPUS = [
     Row("evolve v.json --hamiltonian halpha3.json --time 1", 2, "ea3.json",
         ("error: cannot read hamiltonian file halpha3.json: shape (3,) does not match 1 modes",)),
     Row("evolve v.json --hamiltonian htag.json --time 1", 2, "etag.json",
-        ("error: cannot read hamiltonian file htag.json: 'abc'",)),
+        ("""error: cannot read hamiltonian file htag.json: unknown ordering 'abc' (expected "qpqp" or "qqpp")""",)),
     Row("evolve v.json --time 1", 2, "enone.json",
         ("error: provide exactly one of --hamiltonian or --builtin",)),
     Row("evolve no_such_file.json --builtin rotate --time 1", 2, None,
@@ -258,6 +271,8 @@ CORPUS = [
     Row("williamson m2_qqpp.json", 0),
     Row("williamson m3.json", 0),
     Row("williamson m3_qqpp.json", 0),
+    Row("williamson utf16.json", 2, None,
+        ("error: cannot read state file utf16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",)),
     Row("williamson sq14.json", 0, None,
         (re.compile(r"warning: f is nearly singular \(eigenvalue ratio \d\.\d{3}e[+-]\d\d\)"),)),
     Row("williamson indefinite.json", 3, None,
@@ -274,9 +289,9 @@ CORPUS = [
     Row("williamson ninf.json", 2, "winf.json",
         ("error: invalid state file ninf.json: n_modes must be an integer, got inf",)),
     Row("williamson tag_xyz.json", 2, "wxyz.json",
-        ("error: invalid state file tag_xyz.json: 'xyz'",)),
+        ("""error: invalid state file tag_xyz.json: unknown ordering 'xyz' (expected "qpqp" or "qqpp")""",)),
     Row("williamson tag_null.json", 2, "wnull.json",
-        ("error: invalid state file tag_null.json: None",)),
+        ("""error: invalid state file tag_null.json: unknown ordering None (expected "qpqp" or "qqpp")""",)),
     Row("williamson cov4.json", 2, "wc4.json",
         ("error: invalid state file cov4.json: shape (4, 4) does not match 1 modes",)),
     Row("williamson mean4.json", 2, "wm4.json",
@@ -350,6 +365,8 @@ CORPUS = [
         "                         [state]",
         "gaussphase wigner: error: argument --nq: invalid int value: 'x'",
     )),
+    Row("wigner --fock 0 --nq 4611686018427387904 --np 3", 2, "wbig.csv",
+        ("error: a 4611686018427387904 x 3 grid is beyond addressable memory",)),
     Row("wigner --fock 0 --qrange=-1e308:1e308 --nq 3 --np 3", 2, "w8.csv",
         ("error: grid span q_max - q_min or p_max - p_min gives non-finite values (float overflow)",)),
     Row("wigner --fock 2 --qrange=-1e300:1e300 --prange=-1e300:1e300 --nq 3 --np 3", 3, "wf.csv",
@@ -375,9 +392,9 @@ CORPUS = [
         ("error: grid evaluation supports single-mode states only",)),
     Row("wigner --fock 1 --coherent 1", 2, None,
         ("error: provide exactly one of STATE, --fock or --coherent",)),
-    Row("wigner --fock -1 --nq 3 --np 3", 3, "wfm.csv",
+    Row("wigner --fock -1 --nq 3 --np 3", 2, "wfm.csv",
         ("error: n must be a non-negative integer",)),
-    Row("wigner --fock 100000 --nq 3 --np 3", 3, "wfb.csv",
+    Row("wigner --fock 100000 --nq 3 --np 3", 2, "wfb.csv",
         ("error: n = 100000 exceeds the stable range (n <= 200)",)),
     # coupled-example
     Row("coupled-example --help", 0),
@@ -415,6 +432,17 @@ CORPUS = [
         "                                  [--base {e,2}] [--out OUT]",
         "gaussphase coupled-example: error: the following arguments are required: --lambda",
     )),
+    # README's "Command line" block, line by line and in its order
+    Row("state make tmsv --r 1 --theta 0", 0, "tmsv.json"),
+    Row("state make vacuum --modes 2", 0, "vac2.json"),
+    Row("evolve vac2.json --builtin tms --r 1 --time 1 --verbose", 0, None,
+        (re.compile(r"symplectic residual: \d\.\d{3}e[+-]\d\d"),)),
+    Row("evolve vac2.json --hamiltonian ham.json --time 0.5", 0),
+    Row("williamson tmsv.json", 0),
+    Row("entropy tmsv.json --subsystem 0 --base e", 0),
+    Row("wigner --fock 1 --qrange=-6:6 --prange=-6:6 --nq 301 --np 301 --summary", 0, "w.csv"),
+    Row("wigner tmsv_reduced.json --summary", 0),
+    Row("coupled-example --m 1 --omega 1 --lambda 0.75", 0),
 ]
 
 
@@ -445,15 +473,20 @@ def run_row(row: Row, console: list[str] | None = None) -> Result:
 
 
 def run_corpus(directory: str, console: list[str] | None = None) -> list[Result]:
-    """Writes :data:`INPUTS` into ``directory`` and runs every row there, in
-    order (see :func:`run_row`).  COLUMNS is fixed so that argparse wraps
-    its usage lines alike in process and in a child, on any terminal."""
+    """Writes :data:`INPUTS` into ``directory`` (as JSON, or bytes as they
+    are) and runs every row there, in order (see :func:`run_row`).  COLUMNS
+    is fixed so that argparse wraps its usage lines alike in process and in
+    a child, on any terminal."""
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         for name, content in INPUTS.items():
-            with open(name, "w", encoding="utf-8") as fh:
-                json.dump(content, fh)
+            if isinstance(content, bytes):
+                with open(name, "wb") as fh:
+                    fh.write(content)
+            else:
+                with open(name, "w", encoding="utf-8") as fh:
+                    json.dump(content, fh)
         with mock.patch.dict(os.environ, COLUMNS="80"):
             return [run_row(row, console) for row in CORPUS]
     finally:

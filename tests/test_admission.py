@@ -1,5 +1,5 @@
 """Admission of every input the library takes: a wrong shape raises
-DimensionError, a NaN or infinite entry raises ValueError naming the
+DimensionError, a NaN or infinite entry raises DomainError naming the
 non-finite entries, and neither emits a RuntimeWarning on the way.  Finite
 arguments of any magnitude either give finite results or a typed refusal."""
 
@@ -11,11 +11,13 @@ import pytest
 from gaussphase import (
     ConditioningWarning,
     DimensionError,
+    DomainError,
     GaussPhaseError,
     GaussianChannel,
     GaussianState,
     GridAdequacyWarning,
     LadderHamiltonian,
+    ModeIndexError,
     QuadraticHamiltonian,
     SampledWavefunction,
     WignerGrid,
@@ -122,16 +124,16 @@ def _cases():
         yield pytest.param(build, wrong, DimensionError, "shape", id=f"{site}-shape")
         for value in (np.nan, np.inf):
             bad = _first_entry(good, value)
-            yield pytest.param(build, bad, ValueError, "non-finite", id=f"{site}-{value}")
+            yield pytest.param(build, bad, DomainError, "non-finite", id=f"{site}-{value}")
     for site, (build, good) in SCALAR_SITES.items():
         yield pytest.param(build, good, None, None, id=f"{site}-valid")
         for value in (np.nan, np.inf):
-            yield pytest.param(build, value, ValueError, "non-finite", id=f"{site}-{value}")
+            yield pytest.param(build, value, DomainError, "non-finite", id=f"{site}-{value}")
     # partial_trace refuses a repeated mode before entanglement_entropy reads it
     yield pytest.param(
         lambda keep: entanglement_entropy(two_mode_squeezed_vacuum(1.0), keep),
         [0, 0],
-        IndexError,
+        ModeIndexError,
         "duplicate",
         id="entanglement-duplicate",
     )
@@ -146,7 +148,7 @@ def test_admission(build, arg, error, match):
             return
         with pytest.raises(error, match=match) as excinfo:
             build(arg)
-    # a shape fault is a DimensionError, a non-finite entry a plain ValueError
+    # a shape fault is a DimensionError, a non-finite entry a DomainError
     assert (excinfo.type is DimensionError) == (error is DimensionError)
 
 

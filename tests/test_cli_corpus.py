@@ -1,8 +1,10 @@
 """Every row of the CLI corpus (``tests/cli_corpus.py``), run in process and
 checked by ``cli_corpus.check``; a row that exits 0 for every option of
-the parser; and the same output from both file orderings."""
+the parser and for every command line of README's "Command line" block;
+and the same output from both file orderings."""
 
 import argparse
+from pathlib import Path
 
 import pytest
 from cli_corpus import CORPUS, check, row_id, run_corpus
@@ -42,6 +44,28 @@ def test_every_option_has_a_row_that_exits_0():
             command = max((c for c in commands if tuple(words[: len(c)]) == c), key=len)
             covered |= {(command, w.split("=")[0]) for w in words if w.startswith("--")}
     assert not options - covered, sorted(options - covered)
+
+
+def _readme_command_lines():
+    """The words of each ``gaussphase`` line of README's "Command line"
+    block, without the command name and any trailing comment."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("gaussphase ")]
+
+
+def test_every_readme_command_line_is_a_row_that_exits_0():
+    rows = {(row.argv, row.out) for row in CORPUS if row.code == 0}
+    lines = _readme_command_lines()
+    missing = []
+    for words in lines:
+        out = None
+        if "--out" in words:
+            i = words.index("--out")
+            words, out = words[:i] + words[i + 2 :], words[i + 1]
+        if (" ".join(words), out) not in rows:
+            missing.append(" ".join(words))
+    assert lines and not missing, missing
 
 
 def _stdout(results, argv):
