@@ -24,7 +24,9 @@ Conventions: dimensionless quadratures with vacuum covariance = identity
 omega for its dimensionful Hamiltonian.  State and Hamiltonian files are
 read with either ordering tag, ``"qpqp"`` (the default) or ``"qqpp"``, and
 converted to the pairwise order used in memory; states are written as
-``"qpqp"``.
+``"qpqp"``.  One reader, :func:`_read`, admits either kind of file by its
+value's constructor alone, and each refusal of a file is one line naming
+it, exiting with the code of its error's class.
 
 Each subcommand imports the modules it runs, so a command loads only its
 own part of the package; ``fock``, the test oracle, never loads.
@@ -82,26 +84,22 @@ class _Finite(argparse.Action):
 
 def _to_pairwise(tag: str, n_modes: int, *arrays: np.ndarray | None) -> list:
     """Brings vectors and matrices read from a file tagged ``tag`` into
-    pairwise order (None passes through).
-
-    A ``"qqpp"`` array must have shape (2n,) or (2n, 2n); pairwise entry
-    2k is blockwise entry k (q_k) and 2k + 1 is n + k (p_k).
+    pairwise order.  A ``"qqpp"`` array of shape (2n,) or (2n, 2n) is
+    permuted: pairwise entry 2k is blockwise entry k (q_k) and 2k + 1 is
+    n + k (p_k).  None and an array of any other shape pass unchanged, and
+    the value's constructor refuses such an array as it does a pairwise one.
 
     Raises:
         ParameterError: for a tag other than ``"qpqp"`` and ``"qqpp"``.
-        DimensionError: for a blockwise array of any other shape.
     """
     if tag not in ("qpqp", "qqpp"):  # a tuple: an unhashable tag is unknown too
         raise ParameterError(f'unknown ordering {tag!r} (expected "qpqp" or "qqpp")')
-    if tag == "qpqp":
-        return list(arrays)
-    dim = 2 * n_modes
-    for a in arrays:
-        if a is not None and a.shape not in ((dim,), (dim, dim)):
-            raise DimensionError(f"shape {a.shape} does not match {n_modes} modes")
-    # only now, with dim an array's size: a file's n_modes alone could be any size
-    idx = np.arange(dim).reshape(2, -1).T.ravel()
-    return [a if a is None else a[idx] if a.ndim == 1 else a[np.ix_(idx, idx)] for a in arrays]
+    dim, pairwise = 2 * n_modes, list(arrays)
+    for k, a in enumerate(arrays):  # dim sizes the index only once it is an array's size
+        if tag == "qqpp" and a is not None and a.shape in ((dim,), (dim, dim)):
+            idx = np.arange(dim).reshape(2, -1).T.ravel()
+            pairwise[k] = a[idx] if a.ndim == 1 else a[np.ix_(idx, idx)]
+    return pairwise
 
 
 def _mode_count(value) -> int:
@@ -123,28 +121,47 @@ def state_to_dict(state: states.GaussianState, metadata: dict | None = None) -> 
 
 
 def state_from_dict(data: dict) -> states.GaussianState:
+    """The state a state file's JSON document describes (see :func:`_read`)."""
     from . import states
 
-    try:
-        n_modes = _mode_count(data["n_modes"])
-        mean = np.asarray(data["mean"], dtype=float)
-        cov = np.asarray(data["cov"], dtype=float)
-        mean, cov = _to_pairwise(data.get("ordering", "qpqp"), n_modes, mean, cov)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"invalid state file: {exc}") from exc
+    n_modes = _mode_count(data["n_modes"])
+    mean, cov = (np.asarray(data[key], dtype=float) for key in ("mean", "cov"))
+    mean, cov = _to_pairwise(data.get("ordering", "qpqp"), n_modes, mean, cov)
     return states.GaussianState(n_modes=n_modes, mean=mean, cov=cov)
 
 
-def load_state(path: str) -> states.GaussianState:
+def _hamiltonian_from_dict(data: dict) -> dynamics.QuadraticHamiltonian:
+    from . import dynamics
+
+    f_bar = np.asarray(data["f_bar"], dtype=float)
+    alpha = np.asarray(data["alpha"], dtype=float) if "alpha" in data else None
+    if f_bar.ndim == 0:  # before its size gives the default n_modes
+        raise DimensionError(f"f_bar must be a matrix, got the scalar {f_bar}")
+    n_modes = _mode_count(data.get("n_modes", f_bar.shape[0] // 2))
+    f_bar, alpha = _to_pairwise(data.get("ordering", "qpqp"), n_modes, f_bar, alpha)
+    return dynamics.QuadraticHamiltonian(n_modes=n_modes, f_bar=f_bar, alpha=alpha)
+
+
+def _read(path: str, what: str, build):
+    """``build`` of the JSON document in the ``what`` file ``path``, refused as
+    ``cannot read <what> file <path>: ...`` or ``invalid <what> file <path>: ...``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot read state file {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, not JSON, or too many digits
+        raise FileFormatError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        return state_from_dict(data)
-    except FileFormatError as exc:  # its cause is the reason, without a path
-        raise FileFormatError(f"invalid state file {path}: {exc.__cause__}") from exc.__cause__
+        return build(data)
+    except GaussPhaseError as exc:  # keeps its class, so its exit code
+        exc.args = (f"invalid {what} file {path}: {exc}",)
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # a document of another structure
+        raise FileFormatError(f"invalid {what} file {path}: {exc}") from exc
+
+
+def load_state(path: str) -> states.GaussianState:
+    """The state in the state file ``path``; see :func:`_read`."""
+    return _read(path, "state", state_from_dict)
 
 
 def _json_dump(obj) -> str:
@@ -185,23 +202,6 @@ def cmd_state_make(args) -> dict:
     return state_to_dict(state, metadata)
 
 
-def _load_hamiltonian(path: str) -> dynamics.QuadraticHamiltonian:
-    from . import dynamics
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        f_bar = np.asarray(data["f_bar"], dtype=float)
-        alpha = np.asarray(data["alpha"], dtype=float) if "alpha" in data else None
-        if f_bar.ndim == 0:  # before its size gives the default n_modes
-            raise DimensionError(f"f_bar must be a matrix, got the scalar {f_bar}")
-        n_modes = _mode_count(data.get("n_modes", f_bar.shape[0] // 2))
-        f_bar, alpha = _to_pairwise(data.get("ordering", "qpqp"), n_modes, f_bar, alpha)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"cannot read hamiltonian file {path}: {exc}") from exc
-    return dynamics.QuadraticHamiltonian(n_modes=n_modes, f_bar=f_bar, alpha=alpha)
-
-
 def cmd_evolve(args) -> dict:
     from . import dynamics
 
@@ -209,7 +209,7 @@ def cmd_evolve(args) -> dict:
     if (args.hamiltonian is None) == (args.builtin is None):
         raise FileFormatError("provide exactly one of --hamiltonian or --builtin")
     if args.hamiltonian is not None:
-        ham = _load_hamiltonian(args.hamiltonian)
+        ham = _read(args.hamiltonian, "hamiltonian", _hamiltonian_from_dict)
     elif args.builtin == "squeeze":
         ham = dynamics.squeeze_hamiltonian(args.r, args.theta)
     elif args.builtin == "tms":

@@ -160,7 +160,7 @@ def williamson_decompose(
     v = _phase_fix(vecs[:, :n])
 
     with _refusing_overflow("the Williamson form of f"):
-        scale = np.sqrt(2.0 * nu)[:, None]
+        scale = 2.0 * np.sqrt(0.5 * nu)[:, None]  # sqrt(2 nu) without forming 2 nu
         scaled_o = np.empty((2 * n, 2 * n))
         scaled_o[0::2] = scale * v.imag.T
         scaled_o[1::2] = scale * v.real.T

@@ -5,8 +5,8 @@ code it must return, the file it writes with ``--out`` (None: it writes to
 stdout) and its whole stderr, one entry per line, in order.  An entry is
 the exact text of its line, or a pattern where the line prints a number
 computed through LAPACK or BLAS, whose last digits may differ between
-builds, or argparse's list of choices, whose quoting differs between
-Python versions.  The rows cover every subcommand, every option of
+builds, or argparse's list of choices and the JSON decoder's messages,
+whose wording differs between Python versions.  The rows cover every subcommand, every option of
 ``build_parser`` in a row that exits 0, both file orderings (``"qpqp"``
 and ``"qqpp"``), the exit codes 0, 2, 3 and 4, argparse's own refusals and
 ``--help``.
@@ -121,6 +121,10 @@ def _inputs() -> dict:
         "mean_nan.json": state(mean=[0.0, math.nan]),
         # a file that is not UTF-8 text, written as its raw bytes
         "utf16.json": b"\xff\xfe{",
+        # JSON that CPython's decoder refuses: nesting beyond its recursion
+        # limit, and an integer beyond its limit on digits
+        "deep.json": b"[" * 100000,
+        "bigint.json": b'{"n_modes": ' + b"1" * 5000 + b', "mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
         # malformed Hamiltonian files
         "h15.json": {"n_modes": 1.5, "f_bar": eye2},
         "hfalse.json": {"n_modes": False, "f_bar": eye2},
@@ -129,6 +133,7 @@ def _inputs() -> dict:
         "h4_n1.json": {"n_modes": 1, "ordering": "qqpp", "f_bar": eye4},
         "halpha3.json": {"ordering": "qqpp", "f_bar": eye2, "alpha": [0.0, 0.0, 0.0]},
         "htag.json": {"ordering": "abc", "f_bar": eye2},
+        "hasym.json": {"f_bar": [[1.0, 1.0], [0.0, 1.0]]},
         # the files that README's "Command line" block reads and no earlier line of it writes
         "ham.json": {"n_modes": 2, "f_bar": [
             [1.5, 0.0, -0.5, 0.0], [0.0, 1.0, 0.0, 0.0], [-0.5, 0.0, 1.5, 0.0], [0.0, 0.0, 0.0, 1.0]
@@ -149,6 +154,7 @@ CORPUS = [
     Row("state make vacuum --modes 2", 0, "v2.json"),
     Row("state make thermal --nu 2", 0, "th.json"),
     Row("state make thermal --nu 1e17", 0, "th17.json"),
+    Row("state make thermal --nu 1e308", 0, "th308.json"),
     Row("state make coherent --alpha 1+0.5i,-2+1i,0.3-2i", 0, "c.json"),
     Row("state make coherent --alpha 0.5-0.25i", 0, "c1.json"),
     Row("state make squeezed --r 0.6 --theta 0.4", 0, "sq6.json"),
@@ -238,19 +244,25 @@ CORPUS = [
     Row("evolve v.json --builtin squeeze --theta inf --time 1", 2, "thi.json",
         ("error: --theta must be finite, got inf",)),
     Row("evolve v.json --hamiltonian h15.json --time 1", 2, "e15.json",
-        ("error: cannot read hamiltonian file h15.json: n_modes must be an integer, got 1.5",)),
+        ("error: invalid hamiltonian file h15.json: n_modes must be an integer, got 1.5",)),
     Row("evolve v.json --hamiltonian hscalar.json --time 1", 2, "esc.json",
-        ("error: cannot read hamiltonian file hscalar.json: f_bar must be a matrix, got the scalar 2.0",)),
+        ("error: invalid hamiltonian file hscalar.json: f_bar must be a matrix, got the scalar 2.0",)),
     Row("evolve v.json --hamiltonian hfalse.json --time 1", 2, "efalse.json",
-        ("error: cannot read hamiltonian file hfalse.json: n_modes must be an integer, got False",)),
+        ("error: invalid hamiltonian file hfalse.json: n_modes must be an integer, got False",)),
     Row("evolve v.json --hamiltonian h3x3.json --time 1", 2, "e3x3.json",
-        ("error: cannot read hamiltonian file h3x3.json: shape (3, 3) does not match 1 modes",)),
+        ("error: invalid hamiltonian file h3x3.json: f_bar must have shape (2, 2), got (3, 3)",)),
     Row("evolve v.json --hamiltonian h4_n1.json --time 1", 2, "e4.json",
-        ("error: cannot read hamiltonian file h4_n1.json: shape (4, 4) does not match 1 modes",)),
+        ("error: invalid hamiltonian file h4_n1.json: f_bar must have shape (2, 2), got (4, 4)",)),
     Row("evolve v.json --hamiltonian halpha3.json --time 1", 2, "ea3.json",
-        ("error: cannot read hamiltonian file halpha3.json: shape (3,) does not match 1 modes",)),
+        ("error: invalid hamiltonian file halpha3.json: alpha must have shape (2,), got (3,)",)),
     Row("evolve v.json --hamiltonian htag.json --time 1", 2, "etag.json",
-        ("""error: cannot read hamiltonian file htag.json: unknown ordering 'abc' (expected "qpqp" or "qqpp")""",)),
+        ("""error: invalid hamiltonian file htag.json: unknown ordering 'abc' (expected "qpqp" or "qqpp")""",)),
+    Row("evolve v.json --hamiltonian hasym.json --time 1", 3, "easym.json",
+        ("error: invalid hamiltonian file hasym.json: f_bar asymmetry 1.000e+00 exceeds tolerance",)),
+    Row("evolve v.json --hamiltonian deep.json --time 1", 2, "edeep.json",
+        (re.compile(r"error: cannot read hamiltonian file deep\.json: maximum recursion depth exceeded.*"),)),
+    Row("evolve v.json --hamiltonian bigint.json --time 1", 2, "ebig.json",
+        (re.compile(r"error: cannot read hamiltonian file bigint\.json: .*integer string conversion.*"),)),
     Row("evolve v.json --time 1", 2, "enone.json",
         ("error: provide exactly one of --hamiltonian or --builtin",)),
     Row("evolve no_such_file.json --builtin rotate --time 1", 2, None,
@@ -273,15 +285,21 @@ CORPUS = [
     Row("williamson m3_qqpp.json", 0),
     Row("williamson utf16.json", 2, None,
         ("error: cannot read state file utf16.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",)),
+    Row("williamson deep.json", 2, None,
+        (re.compile(r"error: cannot read state file deep\.json: maximum recursion depth exceeded.*"),)),
+    Row("williamson bigint.json", 2, None,
+        (re.compile(r"error: cannot read state file bigint\.json: .*integer string conversion.*"),)),
+    Row("williamson th308.json", 0),
     Row("williamson sq14.json", 0, None,
         (re.compile(r"warning: f is nearly singular \(eigenvalue ratio \d\.\d{3}e[+-]\d\d\)"),)),
     Row("williamson indefinite.json", 3, None,
-        ("error: covariance matrix is not positive definite",)),
+        ("error: invalid state file indefinite.json: covariance matrix is not positive definite",)),
     Row("williamson cov_nan.json", 3, "wcn.json",
-        ("error: covariance matrix has non-finite entries",)),
+        ("error: invalid state file cov_nan.json: covariance matrix has non-finite entries",)),
     Row("williamson cov_inf.json", 3, "wci.json",
-        ("error: covariance matrix has non-finite entries",)),
-    Row("williamson mean_nan.json", 3, "wmn.json", ("error: mean has non-finite entries",)),
+        ("error: invalid state file cov_inf.json: covariance matrix has non-finite entries",)),
+    Row("williamson mean_nan.json", 3, "wmn.json",
+        ("error: invalid state file mean_nan.json: mean has non-finite entries",)),
     Row("williamson n17.json", 2, "w17.json",
         ("error: invalid state file n17.json: n_modes must be an integer, got 1.7",)),
     Row("williamson ntrue.json", 2, "wtrue.json",
@@ -293,19 +311,19 @@ CORPUS = [
     Row("williamson tag_null.json", 2, "wnull.json",
         ("""error: invalid state file tag_null.json: unknown ordering None (expected "qpqp" or "qqpp")""",)),
     Row("williamson cov4.json", 2, "wc4.json",
-        ("error: invalid state file cov4.json: shape (4, 4) does not match 1 modes",)),
+        ("error: invalid state file cov4.json: covariance matrix must have shape (2, 2), got (4, 4)",)),
     Row("williamson mean4.json", 2, "wm4.json",
-        ("error: invalid state file mean4.json: shape (4,) does not match 1 modes",)),
+        ("error: invalid state file mean4.json: mean must have shape (2,), got (4,)",)),
     Row("williamson mean2_n2.json", 2, "wm2n2.json",
-        ("error: invalid state file mean2_n2.json: shape (2,) does not match 2 modes",)),
+        ("error: invalid state file mean2_n2.json: mean must have shape (4,), got (2,)",)),
     Row("williamson cov2x3.json", 2, "wc23.json",
-        ("error: invalid state file cov2x3.json: shape (2, 3) does not match 1 modes",)),
+        ("error: invalid state file cov2x3.json: covariance matrix must have shape (2, 2), got (2, 3)",)),
     Row("williamson cov1x4.json", 2, "wc14.json",
-        ("error: invalid state file cov1x4.json: shape (1, 4) does not match 1 modes",)),
+        ("error: invalid state file cov1x4.json: covariance matrix must have shape (2, 2), got (1, 4)",)),
     Row("williamson mean2d.json", 2, "wm2d.json",
-        ("error: mean must have shape (2,), got (2, 1)",)),
+        ("error: invalid state file mean2d.json: mean must have shape (2,), got (2, 1)",)),
     Row("williamson mean2d_qqpp.json", 2, "wm2dq.json",
-        ("error: invalid state file mean2d_qqpp.json: shape (2, 1) does not match 1 modes",)),
+        ("error: invalid state file mean2d_qqpp.json: mean must have shape (2,), got (2, 1)",)),
     Row("williamson no_such_file.json", 2, None,
         ("error: cannot read state file no_such_file.json: [Errno 2] No such file or directory: 'no_such_file.json'",)),
     Row("williamson", 2, None, (
@@ -323,12 +341,14 @@ CORPUS = [
         (re.compile(r"error: global state is mixed \(purity \d\.\d{9}\); entanglement entropy is undefined"),)),
     Row("entropy m2.json --subsystem 0", 4, "em2.json",
         (re.compile(r"error: global state is mixed \(purity \d\.\d{9}\); entanglement entropy is undefined"),)),
-    Row("entropy indefinite.json", 3, None, ("error: covariance matrix is not positive definite",)),
+    Row("entropy indefinite.json", 3, None,
+        ("error: invalid state file indefinite.json: covariance matrix is not positive definite",)),
     Row("entropy cov_nan.json", 3, "ecn.json",
-        ("error: covariance matrix has non-finite entries",)),
+        ("error: invalid state file cov_nan.json: covariance matrix has non-finite entries",)),
     Row("entropy cov_inf.json", 3, "eci.json",
-        ("error: covariance matrix has non-finite entries",)),
-    Row("entropy mean_nan.json", 3, "emn.json", ("error: mean has non-finite entries",)),
+        ("error: invalid state file cov_inf.json: covariance matrix has non-finite entries",)),
+    Row("entropy mean_nan.json", 3, "emn.json",
+        ("error: invalid state file mean_nan.json: mean has non-finite entries",)),
     Row("entropy t.json --subsystem 0,0", 2, None,
         ("error: keep contains duplicate mode indices",)),
     Row("entropy t.json --subsystem a", 2, None, ("error: cannot parse mode indices 'a'",)),
@@ -387,7 +407,7 @@ CORPUS = [
     Row("wigner --fock 1 --nq 11 --np 11 --summary", 2, "missing_dir/w.csv",
         ("error: [Errno 2] No such file or directory: 'missing_dir/w.csv'",)),
     Row("wigner indefinite.json --nq 3 --np 3", 3, None,
-        ("error: covariance matrix is not positive definite",)),
+        ("error: invalid state file indefinite.json: covariance matrix is not positive definite",)),
     Row("wigner t.json --nq 3 --np 3", 2, None,
         ("error: grid evaluation supports single-mode states only",)),
     Row("wigner --fock 1 --coherent 1", 2, None,

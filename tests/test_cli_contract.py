@@ -16,6 +16,9 @@ last stderr line, writes nothing to stdout and creates no ``--out`` file.
 No stderr line is a numpy floating-point warning (``... encountered in
 ...``): finite input gives finite output or a typed refusal.
 
+Every malformed file, read as a state and as a Hamiltonian, is refused
+with exactly one ``error:`` line, which names the file.
+
 Two tests pin what the exit codes rest on: no module of the package raises
 a builtin ``ValueError`` or ``IndexError`` itself, and :func:`main` maps
 each error class to its exit code, while such a builtin exception from a
@@ -110,7 +113,11 @@ MALFORMED = {
     "cov_asym.json": '{"n_modes": 1, "mean": [0, 0], "cov": [[1, 1], [0, 1]]}',
     "h_scalar.json": '{"f_bar": 1}',
     "h_text.json": '{"f_bar": "x"}',
+    "h_asym.json": '{"f_bar": [[1, 1], [0, 1]]}',
     "utf16.json": b"\xff\xfe{",
+    # beyond the JSON decoder's recursion limit and CPython's limit on an integer's digits
+    "deep.json": "[" * 100000,
+    "bigint.json": '{"n_modes": ' + "1" * 5000 + ', "mean": [0, 0], "cov": [[1, 0], [0, 1]]}',
     "missing.json": None,
 }
 FILES = {name: json.dumps(content) for name, content in {**STATES, **HAMILTONIANS}.items()} | MALFORMED
@@ -239,6 +246,16 @@ def test_cli_contract(workdir, argv, csv_fails):
     if code != 0:
         assert [line for line in lines if ERROR_LINE.match(line)] == lines[-1:]
         assert stdout == "" and not wrote
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_file_is_refused_in_one_line_that_names_it(workdir, monkeypatch, name):
+    monkeypatch.chdir(workdir)
+    for argv in (["williamson", name], ["evolve", "vacuum.json", "--hamiltonian", name, "--time", "1"]):
+        code, stdout, stderr = _run(argv, csv_fails=False)
+        refusals = [line for line in stderr.splitlines() if ERROR_LINE.match(line)]
+        assert code in (2, 3) and stdout == ""
+        assert len(refusals) == 1 and name in refusals[0], (argv, stderr)
 
 
 def _builtin_raises(path: Path):

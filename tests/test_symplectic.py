@@ -17,7 +17,7 @@ from gaussphase import (
     two_mode_squeeze_hamiltonian,
     williamson_decompose,
 )
-from gaussphase.cli import FileFormatError, load_state, main, state_from_dict
+from gaussphase.cli import load_state, main, state_from_dict
 
 BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -211,5 +211,5 @@ def test_reorder_round_trip_is_bitwise_exact(n_modes):
 
 
 def test_reorder_odd_dimension_rejected():
-    with pytest.raises(FileFormatError):
+    with pytest.raises(DimensionError):
         load_blockwise(1, [0.0, 0.0, 0.0], np.eye(2).tolist())

@@ -110,6 +110,13 @@ class TestWilliamsonDecompose:
         assert dec.residual_diag < 1e-12
         assert dec.residual_symplectic < 1e-12
 
+    @pytest.mark.parametrize("nu", [1e308, np.finfo(float).max])
+    def test_largest_eigenvalues_decompose(self, nu):
+        # sqrt(2 nu) is representable although 2 nu is not
+        dec = williamson_decompose(thermal(nu).cov)
+        assert dec.nu[0] == pytest.approx(nu, rel=1e-15)
+        assert dec.residual_symplectic <= 4.5e-16
+
 
 class TestNormalModeGroundState:
     def test_decoupled_is_vacuum(self):
