@@ -46,7 +46,7 @@ import numpy as np
 from .errors import (
     DimensionError, GaussPhaseError, InputError, NoGroundStateError, NotPureError, ParameterError,
 )
-from .symplectic import _refusing_overflow
+from .symplectic import _refusing_overflow, make_symplectic_form
 
 if TYPE_CHECKING:
     from . import dynamics, states, wigner
@@ -230,7 +230,8 @@ def cmd_williamson(args) -> dict:
     from . import williamson
 
     state = load_state(args.state)
-    dec = williamson.williamson_decompose(state.cov)
+    omega = make_symplectic_form(state.n_modes)
+    dec = williamson._decomposition(state.cov, omega, "covariance matrix")  # admitted by load_state
     return {
         "nu": dec.nu.tolist(),
         "sigma": dec.sigma.tolist(),
@@ -376,8 +377,8 @@ def cmd_coupled_example(args) -> dict:
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    spectrum = williamson.symplectic_spectrum(f)
     ham = dynamics.QuadraticHamiltonian(n_modes=2, f_bar=f)
+    spectrum = williamson._spectrum(ham.f_bar, make_symplectic_form(2), "f")
     ground = dynamics.normal_mode_ground_state(ham)
     reduced = states.partial_trace(ground, [0])
     nu_reduced = float(reduced.symplectic_spectrum()[0])

@@ -32,7 +32,7 @@ from .symplectic import (
     _checked, _expm, _finite, _flushed, _frozen, _n_modes, _refusing_overflow, _symmetrized,
     _symplectic_check, _trusted, make_symplectic_form,
 )
-from .williamson import williamson_decompose
+from .williamson import _decomposition
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ def normal_mode_ground_state(hamiltonian: QuadraticHamiltonian) -> GaussianState
 
         sigma = Sigma^T Sigma,
 
-    with Sigma the Williamson diagonalizer of the Hamiltonian matrix.
+    with Sigma the Williamson diagonalizer of the Hamiltonian matrix.  The
+    admitted Fbar is factored without a second admission, and a
+    ConditioningWarning names ``f_bar``.
 
     Args:
         hamiltonian: its linear part is ignored; a linear term only
@@ -73,7 +75,7 @@ def normal_mode_ground_state(hamiltonian: QuadraticHamiltonian) -> GaussianState
             definite (no normalizable ground state exists).
     """
     try:
-        dec = williamson_decompose(hamiltonian.f_bar)
+        dec = _decomposition(hamiltonian.f_bar, make_symplectic_form(hamiltonian.n_modes), "f_bar")
     except NotPositiveDefiniteError as exc:
         raise NoGroundStateError(
             "Hamiltonian matrix is not positive definite "

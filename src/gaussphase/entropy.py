@@ -13,7 +13,12 @@ terms, so nothing cancels and h is accurate up to nu = 1e308 (the
 difference above gives 0 for h(1e17) = 39.45).
 
 The base of the logarithm is a parameter: "e" for nats (default) or "2"
-for bits; it is never guessed silently.
+for bits; it is never guessed silently, and any other is refused with
+ParameterError.
+
+:func:`entropy_from_spectrum` admits its spectrum like any public array;
+:func:`von_neumann_entropy` passes a state's own spectrum, derived from its
+admitted covariance, to the shared :func:`_entropy` directly.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import ModeIndexError, NotPureError, ParameterError, UnphysicalStateError
+from .errors import (
+    DimensionError, ModeIndexError, NotPureError, ParameterError, UnphysicalStateError,
+)
 from .states import PHYSICALITY_TOL, GaussianState, partial_trace, purity
-from .symplectic import _finite, _refusing_overflow
+from .symplectic import _checked, _finite, _refusing_overflow
 
 LogBase = Literal["e", "2"]
 
@@ -54,9 +61,27 @@ def _entropy_contribution(nu: np.ndarray, log_base: LogBase) -> np.ndarray:
 
 
 def entropy_from_spectrum(nu: Iterable[float], log_base: LogBase = "e") -> EntropyResult:
-    """Entropy of a Gaussian state given its symplectic eigenvalues."""
+    """Entropy of a Gaussian state given its symplectic eigenvalues.
+
+    Raises:
+        DimensionError: if ``nu`` is not a non-empty vector.
+        DomainError: if an entry of ``nu`` is NaN or infinite.
+        ParameterError: if ``log_base`` is neither "e" nor "2".
+        UnphysicalStateError: if an entry of ``nu`` is below 1 - PHYSICALITY_TOL.
+    """
     # an array is taken as it is; any other iterable, a 0-d array too, goes through list()
     nu = np.asarray(nu if isinstance(nu, np.ndarray) and nu.ndim else list(nu), dtype=float)
+    nu = _checked(nu, "nu", nu.shape[:1])
+    if not nu.size:
+        raise DimensionError("nu must hold at least one symplectic eigenvalue, got shape (0,)")
+    return _entropy(nu, log_base)
+
+
+def _entropy(nu: np.ndarray, log_base: LogBase) -> EntropyResult:
+    """The entropy of an admitted spectrum: a non-empty finite float vector,
+    such as a state's own symplectic spectrum."""
+    if log_base not in ("e", "2"):  # a tuple: an unhashable base is refused too
+        raise ParameterError(f'unknown log_base {log_base!r} (expected "e" or "2")')
     if (nu < 1.0 - PHYSICALITY_TOL).any():
         raise UnphysicalStateError(
             f"symplectic eigenvalue {nu.min():.6g} < 1: entropy undefined"
@@ -67,8 +92,14 @@ def entropy_from_spectrum(nu: Iterable[float], log_base: LogBase = "e") -> Entro
 
 
 def von_neumann_entropy(state: GaussianState, log_base: LogBase = "e") -> EntropyResult:
-    """Von Neumann entropy of a Gaussian state (zero iff pure)."""
-    return entropy_from_spectrum(state.symplectic_spectrum(), log_base)
+    """Von Neumann entropy of a Gaussian state (zero iff pure).
+
+    Raises:
+        ParameterError: if ``log_base`` is neither "e" nor "2".
+        NotPositiveDefiniteError: if the covariance matrix cannot be factored.
+        UnphysicalStateError: if a symplectic eigenvalue is below 1 - PHYSICALITY_TOL.
+    """
+    return _entropy(state.symplectic_spectrum(), log_base)
 
 
 def entanglement_entropy(
@@ -86,6 +117,7 @@ def entanglement_entropy(
             not an entanglement measure and is refused rather than returned.
         ModeIndexError: if the partition is empty, out of range or repeats a
             mode (refused by :func:`partial_trace`), or is the whole system.
+        ParameterError: if ``log_base`` is neither "e" nor "2".
     """
     report = purity(state)
     if not report.is_pure:

@@ -26,8 +26,9 @@ import numpy as np
 from .errors import DimensionError, ModeIndexError, ParameterError, UnphysicalStateError
 from .symplectic import (
     _MAX_FLOATS, _checked, _finite, _frozen, _refusing_overflow, _symmetrized, _trusted,
+    make_symplectic_form,
 )
-from .williamson import symplectic_spectrum
+from .williamson import _spectrum
 
 PHYSICALITY_TOL = 1e-8
 PURITY_TOL = 1e-9
@@ -67,7 +68,10 @@ class GaussianState:
         return 2 * self.n_modes
 
     def symplectic_spectrum(self) -> np.ndarray:
-        return symplectic_spectrum(self.cov)
+        """The symplectic eigenvalues of the admitted covariance, ascending,
+        factored without admitting it again; a refusal names the
+        covariance matrix."""
+        return _spectrum(self.cov, make_symplectic_form(self.n_modes), "covariance matrix")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,17 @@ rows sqrt(2) Im v_k, sqrt(2) Re v_k form a real orthogonal matrix O, and
 Within a degenerate group of symplectic eigenvalues Sigma is not unique;
 the eigensolver's orthonormal basis of the group is kept.
 
+Admission and factorization are separate.  Only the public entry points,
+:func:`symplectic_spectrum` and :func:`williamson_decompose`, admit their
+argument (:func:`_admitted`: shape, finiteness, symmetrization, Omega).
+:func:`_spectrum` and :func:`_decomposition` factor a matrix that is
+already admitted, given its Omega and the name to use in refusals; a
+state's covariance and a Hamiltonian's Fbar reach them directly.  A
+second admission would return such a matrix unchanged, apart from entries
+below 2^-1021 in magnitude, by at most 2^-1074: halving a larger entry is
+exact, and a matrix admitted from a symmetric argument holds 2 round(m/2),
+which halves exactly too.
+
 The symmetric root is used rather than a Cholesky factor L (spectrum from
 i L^T Omega L) or the real Schur form of Y: on the covariance of a
 256-mode harmonic chain after a channel (2-vCPU VM, OpenBLAS),
@@ -44,38 +55,46 @@ DEFAULT_WILLIAMSON_TOL = 1e-8
 _COND_FLOOR = 1e-12
 
 
-def _core(
-    f: np.ndarray, form: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validates F once and returns (F, Omega, F^(-1/2), Y); Omega is
-    ``form``, or is built from the size of ``f`` when ``form`` is None.
+def _admitted(f, form: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Admits the argument F of a public entry point: returns (F, Omega),
+    with F finite and symmetrized and Omega ``form``, or built from the
+    size of ``f`` when ``form`` is None.
+
+    Raises:
+        DimensionError: if ``f`` is not square of even dimension, or does
+            not match ``form``.
+        DomainError: if ``f`` has non-finite entries or is not symmetric.
+    """
+    omega = make_symplectic_form(_n_modes(f, "f")) if form is None else form
+    return _symmetrized(_checked(f, "f", omega.shape), "f"), omega
+
+
+def _factored(f: np.ndarray, omega: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(F^(-1/2), Y) of an admitted F: a finite, exactly symmetric float
+    matrix of the shape of ``omega``, refused or warned about as ``name``.
 
     The eigenvalues of the one eigh(F) are the positive-definiteness and
     conditioning check; its eigenvectors give the symmetric F^(-1/2).
 
     Raises:
-        DimensionError: if ``f`` is not square of even dimension, or does
-            not match ``form``.
-        DomainError: if ``f`` has non-finite entries, is not symmetric or overflows Y.
         NotPositiveDefiniteError: if ``f`` is not positive definite.
+        DomainError: if Y overflows.
     """
-    omega = make_symplectic_form(_n_modes(f, "f")) if form is None else form
-    f = _symmetrized(_checked(f, "f", omega.shape), "f")
     vals, vecs = np.linalg.eigh(f)
     if vals[0] <= 0:
         raise NotPositiveDefiniteError(
-            f"f must be positive definite (min eigenvalue {vals[0]:.3e})", vals[0]
+            f"{name} must be positive definite (min eigenvalue {vals[0]:.3e})", vals[0]
         )
     if vals[0] <= _COND_FLOOR * vals[-1]:
         warnings.warn(
-            f"f is nearly singular (eigenvalue ratio {vals[0] / vals[-1]:.3e})",
+            f"{name} is nearly singular (eigenvalue ratio {vals[0] / vals[-1]:.3e})",
             ConditioningWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the entry point, public or trusted
         )
-    with _refusing_overflow("the core F^(-1/2) Omega F^(-1/2) of f"):
+    with _refusing_overflow(f"the core F^(-1/2) Omega F^(-1/2) of {name}"):
         f_inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         y = f_inv_sqrt @ omega @ f_inv_sqrt
-        return f, omega, f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
+        return f_inv_sqrt, 0.5 * (y - y.T)  # enforce antisymmetry against roundoff
 
 
 def _nu_from_iy(lam: np.ndarray) -> np.ndarray:
@@ -103,7 +122,14 @@ def symplectic_spectrum(f: np.ndarray, form: np.ndarray | None = None) -> np.nda
             DEFAULT_WILLIAMSON_TOL * max|1/nu| (numerical degeneracy).
         NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
-    _, _, _, y = _core(f, form)
+    return _spectrum(*_admitted(f, form), "f")
+
+
+def _spectrum(f: np.ndarray, omega: np.ndarray, name: str) -> np.ndarray:
+    """The symplectic spectrum of an admitted F (see :func:`_factored`),
+    for a caller that holds one: a state's covariance or a Hamiltonian's
+    Fbar."""
+    _, y = _factored(f, omega, name)
     return _nu_from_iy(np.linalg.eigvalsh(1j * y))
 
 
@@ -153,13 +179,20 @@ def williamson_decompose(
             not pair up (see :func:`symplectic_spectrum`).
         NotPositiveDefiniteError: if ``f`` is not positive definite.
     """
-    f, omega, f_inv_sqrt, y = _core(f, form)
+    return _decomposition(*_admitted(f, form), "f")
+
+
+def _decomposition(f: np.ndarray, omega: np.ndarray, name: str) -> WilliamsonDecomposition:
+    """The Williamson decomposition of an admitted F (see :func:`_factored`),
+    for a caller that holds one: a state's covariance or a Hamiltonian's
+    Fbar."""
+    f_inv_sqrt, y = _factored(f, omega, name)
     n = len(f) // 2
     lam, vecs = np.linalg.eigh(1j * y)
     nu = _nu_from_iy(lam)
     v = _phase_fix(vecs[:, :n])
 
-    with _refusing_overflow("the Williamson form of f"):
+    with _refusing_overflow(f"the Williamson form of {name}"):
         scale = 2.0 * np.sqrt(0.5 * nu)[:, None]  # sqrt(2 nu) without forming 2 nu
         scaled_o = np.empty((2 * n, 2 * n))
         scaled_o[0::2] = scale * v.imag.T

@@ -159,6 +159,8 @@ CORPUS = [
     Row("state make coherent --alpha 0.5-0.25i", 0, "c1.json"),
     Row("state make squeezed --r 0.6 --theta 0.4", 0, "sq6.json"),
     Row("state make squeezed --r 14", 0, "sq14.json"),
+    # admitted by its Cholesky factor, but eigh rounds e^-600 beside e^600 to 0
+    Row("state make squeezed --r 300", 0, "s300.json"),
     Row("state make tmsv --r 1", 0, "t.json"),
     Row("state make tmsv --r 0.5 --theta 0.3", 0),
     Row("state make squeezed --r 400", 3, "s.json",
@@ -290,8 +292,12 @@ CORPUS = [
     Row("williamson bigint.json", 2, None,
         (re.compile(r"error: cannot read state file bigint\.json: .*integer string conversion.*"),)),
     Row("williamson th308.json", 0),
-    Row("williamson sq14.json", 0, None,
-        (re.compile(r"warning: f is nearly singular \(eigenvalue ratio \d\.\d{3}e[+-]\d\d\)"),)),
+    Row("williamson sq14.json", 0, None, (re.compile(
+        r"warning: covariance matrix is nearly singular \(eigenvalue ratio \d\.\d{3}e[+-]\d\d\)"
+    ),)),
+    Row("williamson s300.json", 3, None, (re.compile(
+        r"error: covariance matrix must be positive definite \(min eigenvalue -?\d\.\d{3}e[+-]\d\d\)"
+    ),)),
     Row("williamson indefinite.json", 3, None,
         ("error: invalid state file indefinite.json: covariance matrix is not positive definite",)),
     Row("williamson cov_nan.json", 3, "wcn.json",
@@ -341,6 +347,9 @@ CORPUS = [
         (re.compile(r"error: global state is mixed \(purity \d\.\d{9}\); entanglement entropy is undefined"),)),
     Row("entropy m2.json --subsystem 0", 4, "em2.json",
         (re.compile(r"error: global state is mixed \(purity \d\.\d{9}\); entanglement entropy is undefined"),)),
+    Row("entropy s300.json", 3, None, (re.compile(
+        r"error: covariance matrix must be positive definite \(min eigenvalue -?\d\.\d{3}e[+-]\d\d\)"
+    ),)),
     Row("entropy indefinite.json", 3, None,
         ("error: invalid state file indefinite.json: covariance matrix is not positive definite",)),
     Row("entropy cov_nan.json", 3, "ecn.json",
@@ -429,6 +438,10 @@ CORPUS = [
     # the ground state's p variance m omega = 1e400 overflows
     Row("coupled-example --lambda 1 --m 1e200 --omega 1e200", 3, "cover.json",
         ("error: the spectrum or ground state in units of m and omega gives non-finite values (float overflow)",)),
+    # lambda / (m omega^2) = 1e300 puts 1 + 4e300 beside 1 in one F
+    Row("coupled-example --lambda 1 --m 1e-300", 3, "cm300.json", (re.compile(
+        r"error: f must be positive definite \(min eigenvalue -?\d\.\d{3}e[+-]\d\d\)"
+    ),)),
     Row("coupled-example --lambda 1 --m -1", 2, "cmneg.json",
         ("error: m and omega must be positive",)),
     Row("coupled-example --lambda 1 --m=0", 2, "cm0.json",

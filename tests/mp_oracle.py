@@ -10,7 +10,12 @@ works at :data:`DIGITS` significant digits and returns
   similar to the real antisymmetric K = L^T Omega L, so the nu_k are the
   positive eigenvalues of the Hermitian matrix iK;
 - det sigma = prod(diag L)^2, and the purity 1 / sqrt(det sigma);
-- the 2-norm condition number of sigma, lambda_max / lambda_min.
+- the 2-norm condition number of sigma, lambda_max / lambda_min;
+- the von Neumann entropy in nats, the sum of
+  h(nu) = ((nu+1)/2) log((nu+1)/2) - ((nu-1)/2) log((nu-1)/2) over the
+  spectrum.  This difference form is evaluated with about log10(nu)
+  extra digits, which absorb its cancellation.  A nu <= 1 (a rounded pure
+  state can have one just below 1) contributes h(1) = 0, the x log x limit.
 
 It shares no code with the package, and no module of the package imports it.
 """
@@ -27,6 +32,7 @@ class Reference(NamedTuple):
     det: mpmath.mpf
     purity: mpmath.mpf
     cond: mpmath.mpf
+    entropy: mpmath.mpf
 
 
 def reference(sigma) -> Reference:
@@ -39,12 +45,22 @@ def reference(sigma) -> Reference:
         for k in range(n):
             omega[2 * k, 2 * k + 1], omega[2 * k + 1, 2 * k] = 1, -1
         low = mpmath.cholesky(s)
-        nu = mpmath.eighe(mpmath.mpc(0, 1) * (low.T * omega * low), eigvals_only=True)
+        eig = mpmath.eighe(mpmath.mpc(0, 1) * (low.T * omega * low), eigvals_only=True)
+        nu = [mpmath.re(v) for v in eig[n:]]
         root_det = mpmath.fprod(low[i, i] for i in range(2 * n))
         lam = mpmath.eigsy(s, eigvals_only=True)
         return Reference(
-            nu=[mpmath.re(v) for v in nu[n:]],
+            nu=nu,
             det=root_det**2,
             purity=1 / root_det,
             cond=lam[2 * n - 1] / lam[0],
+            entropy=mpmath.fsum(_h(v) for v in nu if v > 1),
         )
+
+
+def _h(nu):
+    """The entropy of one symplectic eigenvalue nu > 1, in nats.  Both
+    terms are about nu log(nu) / 2, so the difference loses log10(nu) digits."""
+    with mpmath.extradps(int(mpmath.log10(nu)) + 10):
+        up, down = (nu + 1) / 2, (nu - 1) / 2
+        return up * mpmath.log(up) - down * mpmath.log(down)

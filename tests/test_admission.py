@@ -79,6 +79,8 @@ ARRAY_SITES = {
         np.ones((5, 2)),
     ),
     "coherent-alpha": (coherent, [0.5, 1j], [[0.5, 1j]]),
+    # a NaN, or a spectrum of any other shape, used to give a total of 0.0
+    "entropy_from_spectrum": (entropy_from_spectrum, [1.0, 2.5], [[1.0, 2.5]]),
 }
 
 # the value objects, whose stored arrays are read-only

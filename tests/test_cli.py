@@ -222,7 +222,7 @@ class TestWilliamsonCmd:
         code, out, err = run(capsys, "williamson", path)
         assert code == 0
         assert json.loads(out)["nu"] == pytest.approx([1.0], abs=1e-6)
-        assert err.startswith("warning: f is nearly singular")
+        assert err.startswith("warning: covariance matrix is nearly singular")
         assert all(line.startswith("warning: ") for line in err.splitlines())
 
 

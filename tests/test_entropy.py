@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from gaussphase import (
+    DimensionError,
     GaussianState,
     NotPureError,
+    ParameterError,
     QuadraticHamiltonian,
     UnphysicalStateError,
     apply_channel,
@@ -70,6 +72,21 @@ def test_entropy_base_two():
 def test_entropy_rejects_unphysical_spectrum():
     with pytest.raises(UnphysicalStateError):
         entropy_from_spectrum([0.5])
+
+
+@pytest.mark.parametrize("log_base", [2, "10", "E", "bits", None])
+def test_unknown_log_base_is_refused(log_base):
+    # a base the entropies do not know used to return nats labelled with it
+    with pytest.raises(ParameterError, match="log_base"):
+        entropy_from_spectrum([3.0], log_base)
+    with pytest.raises(ParameterError, match="log_base"):
+        von_neumann_entropy(thermal(3.0), log_base)
+
+
+def test_empty_spectrum_is_refused():
+    # it used to give a total of 0.0
+    with pytest.raises(DimensionError, match="at least one"):
+        entropy_from_spectrum([])
 
 
 @pytest.mark.parametrize(

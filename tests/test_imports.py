@@ -11,6 +11,7 @@ tests in this process (the tests use scipy as an oracle) would hide an
 import.
 """
 
+import ast
 import json
 import os
 import re
@@ -30,7 +31,8 @@ from gaussphase import (
 )
 from gaussphase.cli import state_from_dict, state_to_dict
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
 # any `import scipy...` raises ImportError after this
 BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
@@ -61,15 +63,18 @@ g.generate_channel(g.QuadraticHamiltonian(n_modes=1, f_bar=np.eye(2), alpha=[0.1
 """
 
 FOCK_CALLS = """
-from gaussphase import fock
+from gaussphase import fock, squeezed_vacuum
 coh = fock.coherent_vector(0.5 - 0.2j, 24)
 sq = fock.squeezed_vacuum_vector(0.4, 0.3, 40)
 tm = fock.tmsv_vector(0.3, 0.1, 20)
 th = fock.thermal_density(0.7, 40)
-fock.displacement_matrix(0.6 + 0.1j, 24)
+d = fock.displacement_matrix(0.6 + 0.1j, 24)
+assert abs(d[:, 0] - fock.coherent_vector(0.6 + 0.1j, 24).amplitudes).max() < 1e-12
 fock.covariance_from_fock(coh)
 fock.covariance_from_fock(tm)
 fock.covariance_from_fock(th)
+_, cov = fock.covariance_from_fock(fock.squeezed_vacuum_vector(0.4, 0.3, 60))
+assert abs(cov - squeezed_vacuum(0.4, 0.3).cov).max() < 1e-10
 fock.number_expectation(fock.density_from_state(sq))
 fock.fock_entropy(fock.reduced_density(tm, 0))
 fock.quadratures(4)
@@ -110,6 +115,15 @@ def test_library_calls_load_no_scipy(calls):
 @pytest.mark.parametrize("calls", [CHANNEL_CALLS, FOCK_CALLS], ids=["channel", "fock"])
 def test_library_calls_work_with_scipy_blocked(calls):
     python("-c", BLOCK_SCIPY + calls)
+
+
+@pytest.mark.parametrize("name", ["test_propagation.py", "fock_oracle.py"])
+def test_propagation_oracle_imports_no_scipy(name):
+    # the Fock propagation oracle and the Magnus properties borrow no exponential from scipy
+    for node in ast.walk(ast.parse((TESTS / name).read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            assert not [m for m in names if m.split(".")[0] == "scipy"], ast.unparse(node)
 
 
 def test_evolve_loads_no_scipy(tmp_path):

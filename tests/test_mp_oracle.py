@@ -1,13 +1,17 @@
 """The 50-digit reference of ``tests/mp_oracle.py``, and the forward error
-of the float spectrum and purity measured against it.
+of the float spectrum, purity and entropy measured against it.
 
 The reference is pinned against closed forms to a relative 1e-30: a
 thermal state has nu, a two-mode squeezed vacuum has nu = 1 and its
-reduced mode nu = cosh r, and every squeezed pure state has nu = 1.
+reduced mode nu = cosh r, and every squeezed pure state has nu = 1.  Its
+entropy is pinned to an absolute 1e-30 against h(nu) in the form
+log(1 + b) + b log(1 + 1/b), b = (nu - 1)/2.
 
 The property draws covariance matrices sigma = S D S^T at n <= 2 modes
 and measures the relative forward error of
-:func:`~gaussphase.williamson.symplectic_spectrum` and
+:func:`~gaussphase.williamson.symplectic_spectrum`, the admitted state's
+:meth:`~gaussphase.states.GaussianState.symplectic_spectrum`, the nu of
+:func:`~gaussphase.williamson.williamson_decompose` and
 :func:`~gaussphase.states.purity` against the reference of the float
 sigma itself, so the rounding of sigma's entries is not counted as the
 algorithm's error.  Each error is recorded with ``hypothesis.target`` as a
@@ -16,7 +20,12 @@ sigma, and must stay within :data:`BOUND` of it over the range of
 :func:`covariances`: symplectic eigenvalues from 1 to 1 + e^5, a one-mode
 squeezer up to r = 8 (kappa = e^(4r)), a two-mode squeezer up to r = 15
 (kappa up to e^(2r) nu_max / nu_min) and two one-mode squeezers up to
-r = 4 mixed by a beam splitter.
+r = 4 mixed by a beam splitter.  The absolute error of
+:func:`~gaussphase.entropy.von_neumann_entropy` is measured in units of
+kappa eps times the entropy's sensitivity sum nu h'(nu) (see
+:func:`_entropy_sensitivity`), within the same bound.  Where a pure
+state's float spectrum, within its bound, falls below 1 - PHYSICALITY_TOL,
+the entropy must refuse it with UnphysicalStateError.
 """
 
 import ast
@@ -27,24 +36,31 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from mp_oracle import DIGITS, reference
 
-from gaussphase import states, williamson
+from gaussphase import UnphysicalStateError, entropy, states, williamson
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaussphase"
 EPS = np.finfo(float).eps
 # forward error / (kappa eps).  The largest seen over the drawn range, in
-# 9000 random draws, is 7.8 for the spectrum and 5.4 for the purity; the
-# draws that came near it were close to the vacuum (kappa near 1), where a
-# few units in the last place dominate.  A two-mode squeezed vacuum up to
-# r = 15 stays below 0.5
+# 4 x 9000 random draws, is 10.7 for either spectrum, 12.6 for the
+# decomposition's nu and 9.6 for the entropy (5.4 for the purity in
+# 9000); the draws that came near it were close to the vacuum (kappa near
+# 1), where a few units in the last place dominate.  A two-mode squeezed
+# vacuum up to r = 15 stays below 0.5
 BOUND = 16.0
 
 
 def _close(value, exact, rel=mpmath.mpf("1e-30")):
     return abs(value - exact) <= rel * abs(exact)
+
+
+def _close_entropy(value, exact):
+    """Within an absolute 1e-30: a pure state's entropy is 0 only up to the
+    rounding of its 50-digit spectrum."""
+    return abs(value - exact) <= mpmath.mpf("1e-30")
 
 
 def _rotated(sigma, theta, mode=0):
@@ -56,14 +72,22 @@ def _rotated(sigma, theta, mode=0):
     return r * sigma * r.T
 
 
+def _h(nu):
+    """h(nu) = log(1 + b) + b log(1 + 1/b), b = (nu - 1)/2: the form
+    without cancellation, not the reference's difference form."""
+    b = (mpmath.mpf(nu) - 1) / 2
+    return mpmath.log1p(b) + b * mpmath.log1p(1 / b) if b else mpmath.mpf(0)
+
+
 @pytest.mark.parametrize("nu", [1.0, 2.5, 1e10, 1e300])
 def test_thermal_state(nu):
     ref = reference([[nu, 0.0], [0.0, nu]])
     with mpmath.workdps(DIGITS):
         assert _close(ref.nu[0], nu) and _close(ref.det, mpmath.mpf(nu) ** 2)
-        assert _close(ref.purity, 1 / mpmath.mpf(nu))
+        assert _close(ref.purity, 1 / mpmath.mpf(nu)) and _close_entropy(ref.entropy, _h(nu))
         two = reference(np.diag([3.0, 3.0, nu, nu]))
         assert all(map(_close, two.nu, sorted([3, nu])))
+        assert _close_entropy(two.entropy, _h(3) + _h(nu))
 
 
 @pytest.mark.parametrize("r", [0.5, 4.0, 8.0, 15.0])
@@ -74,9 +98,10 @@ def test_two_mode_squeezed_vacuum(r):
         sigma = _rotated(_rotated(tmsv, 0.3), -1.1, mode=1)
         ref = reference(sigma.tolist())
         assert all(_close(nu, 1) for nu in ref.nu)
-        assert _close(ref.det, 1) and _close(ref.purity, 1)
+        assert _close(ref.det, 1) and _close(ref.purity, 1) and _close_entropy(ref.entropy, 0)
         reduced = reference([[sigma[i, j] for j in range(2)] for i in range(2)])
         assert _close(reduced.nu[0], ch) and _close(reduced.purity, 1 / ch)
+        assert _close_entropy(reduced.entropy, _h(ch))
 
 
 @pytest.mark.parametrize("r", [0.5, 4.0, 8.0])
@@ -148,19 +173,50 @@ def covariances(draw):
     return (sigma + sigma.T) / 2
 
 
+def _entropy_sensitivity(nu, scale):
+    """sum nu h'(nu) over the reference spectrum, h'(nu) = log((nu+1)/(nu-1)) / 2:
+    the first-order change of the entropy per unit relative change of every
+    nu.  Each nu is taken no closer to 1 than ``scale``, where h' diverges but
+    h(1 + d) <= d (1 + log(2/d)) / 2 does not."""
+    return mpmath.fsum(
+        v / 2 * mpmath.log((v + 1) / (v - 1)) for v in (max(v, 1 + scale) for v in nu)
+    )
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(sigma=covariances())
+# the top of the range at kappa = 1, where the entropy's own rounding is not hidden by kappa
+@example(sigma=np.diag([1.0 + math.exp(5.0)] * 2))
 def test_forward_error_is_within_the_conditioning_bound(sigma):
     n = len(sigma) // 2
     ref = reference(sigma)
+    state = states.GaussianState(n_modes=n, mean=np.zeros(2 * n), cov=sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", williamson.ConditioningWarning)
-        nu = williamson.symplectic_spectrum(sigma)
-    purity = states.purity(states.GaussianState(n_modes=n, mean=np.zeros(2 * n), cov=sigma)).purity
+        spectra = {
+            "symplectic_spectrum": williamson.symplectic_spectrum(sigma),
+            "GaussianState.symplectic_spectrum": state.symplectic_spectrum(),
+            "williamson_decompose": williamson.williamson_decompose(sigma).nu,
+        }
+        total = None
+        if spectra["GaussianState.symplectic_spectrum"][0] < 1.0 - states.PHYSICALITY_TOL:
+            # a spectrum within its bound but below 1 - PHYSICALITY_TOL: a refusal, not a number
+            with pytest.raises(UnphysicalStateError):
+                entropy.von_neumann_entropy(state)
+        else:
+            total = entropy.von_neumann_entropy(state).total
+    purity = states.purity(state).purity
     with mpmath.workdps(DIGITS):
         scale = ref.cond * EPS
-        nu_error = max(abs(a - b) / b for a, b in zip(map(mpmath.mpf, nu), ref.nu)) / scale
-        purity_error = abs(mpmath.mpf(purity) - ref.purity) / ref.purity / scale
-    target(float(nu_error), label="symplectic_spectrum error / (kappa eps)")
-    target(float(purity_error), label="purity error / (kappa eps)")
-    assert nu_error <= BOUND and purity_error <= BOUND
+        errors = {
+            name: max(abs(a - b) / b for a, b in zip(map(mpmath.mpf, nu), ref.nu)) / scale
+            for name, nu in spectra.items()
+        }
+        errors["purity"] = abs(mpmath.mpf(purity) - ref.purity) / ref.purity / scale
+        if total is not None:
+            errors["von_neumann_entropy"] = abs(mpmath.mpf(total) - ref.entropy) / (
+                scale * _entropy_sensitivity(ref.nu, scale)
+            )
+    for name, error in errors.items():
+        target(float(error), label=f"{name} error / (kappa eps)")
+    assert all(error <= BOUND for error in errors.values()), errors

@@ -5,8 +5,13 @@ Each skips its class's constructor and runs only the checks its inputs
 have not passed: a channel tests that S and d are finite and that S is
 symplectic, against the one Omega its builder made; a grid warns about its
 boundary and then takes ``wigner._bounded``.  The results hold the same
-bits as the public constructor's."""
+bits as the public constructor's.
 
+An admitted matrix on the spectral path, a state's covariance or a
+Hamiltonian's Fbar, reaches Williamson's factorization without the
+admission of the public ``williamson`` functions."""
+
+import json
 import warnings
 
 import numpy as np
@@ -26,12 +31,15 @@ from gaussphase import (
     centered_grid,
     coherent,
     dynamics,
+    entanglement_entropy,
     eval_fock,
     eval_gaussian,
     evolve_ode,
     generate_channel,
+    normal_mode_ground_state,
     oscillator_eigenfunction,
     partial_trace,
+    physicality_check,
     squeeze_hamiltonian,
     squeezed_vacuum,
     symplectic,
@@ -39,9 +47,11 @@ from gaussphase import (
     thermal,
     two_mode_squeezed_vacuum,
     vacuum,
+    von_neumann_entropy,
     wigner_from_wavefunction,
     williamson,
 )
+from gaussphase.cli import main, state_to_dict
 from gaussphase.wigner import _bounded
 
 
@@ -86,6 +96,65 @@ def test_derived_value_skips_the_public_constructor(monkeypatch, site):
     assert isinstance(value, cls)
     stored = [v for v in vars(value).values() if isinstance(v, np.ndarray)]
     assert stored and not any(a.flags.writeable for a in stored)
+
+
+# site -> a call that factors an admitted covariance or Fbar, given a state file
+SPECTRAL = {
+    "GaussianState.symplectic_spectrum": lambda _: TMSV.symplectic_spectrum(),
+    "physicality_check": lambda _: physicality_check(SQUEEZED),
+    "von_neumann_entropy": lambda _: von_neumann_entropy(partial_trace(TMSV, [0])),
+    "entanglement_entropy": lambda _: entanglement_entropy(TMSV, [1]),
+    "normal_mode_ground_state": lambda _: normal_mode_ground_state(
+        QuadraticHamiltonian(2, np.diag([1.0, 2.0, 3.0, 4.0]))
+    ),
+    "cli-williamson": lambda path: main(["williamson", path]),
+    "cli-coupled-example": lambda _: main(["coupled-example", "--lambda", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("site", SPECTRAL)
+def test_admitted_matrix_is_factored_without_admission(monkeypatch, tmp_path, capsys, site):
+    path = tmp_path / "tmsv.json"
+    path.write_text(json.dumps(state_to_dict(TMSV)))
+
+    def refuse(*args):
+        raise AssertionError("an admitted matrix was admitted again")
+
+    monkeypatch.setattr(williamson, "_checked", refuse)
+    monkeypatch.setattr(williamson, "_symmetrized", refuse)
+    result = SPECTRAL[site](str(path))
+    if site.startswith("cli-"):
+        assert result == 0, capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    noise=st.sampled_from([0.0, 1e-13]),
+)
+def test_factored_state_has_the_bits_of_a_public_call(n, data, scale, noise):
+    # a noise below the symmetry tolerance makes the admitted entries h + h^T
+    # rather than 2h; only then can an entry below 2^-1021 halve inexactly
+    a = data.draw(arrays(float, (2 * n, 2 * n), elements=st.floats(-1.0, 1.0)))
+    cov = scale * (a @ a.T + np.eye(2 * n) + noise * np.triu(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", williamson.ConditioningWarning)
+        try:
+            state = GaussianState(n, np.zeros(2 * n), cov)
+            spectrum = state.symplectic_spectrum()
+        except ValueError:  # not positive definite in floats: nothing to compare
+            return
+        again = symplectic._symmetrized(state.cov, "covariance matrix")
+        if noise and ((np.abs(state.cov) < 2.0**-1021) & (state.cov != 0)).any():
+            assert np.abs(again - state.cov).max() <= 2.0**-1074
+            return
+        assert _same_bits(again, state.cov)
+        assert _same_bits(spectrum, williamson.symplectic_spectrum(state.cov))
+        dec = williamson._decomposition(state.cov, symplectic.make_symplectic_form(n), "cov")
+        public = williamson.williamson_decompose(state.cov)
+    assert all(_same_bits(getattr(dec, k), getattr(public, k)) for k in vars(public))
 
 
 @pytest.fixture

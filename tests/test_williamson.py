@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 
 from gaussphase import (
+    ConditioningWarning,
     GaussianState,
     NoGroundStateError,
+    NotPositiveDefiniteError,
     QuadraticHamiltonian,
     apply_channel,
     check_symplectic,
+    entanglement_entropy,
     generate_channel,
     make_symplectic_form,
     normal_mode_ground_state,
+    physicality_check,
     purity,
+    squeezed_vacuum,
     symplectic_spectrum,
     thermal,
     tensor,
     vacuum,
+    von_neumann_entropy,
     williamson_decompose,
 )
 
@@ -67,6 +73,31 @@ class TestSymplecticSpectrum:
             nu = symplectic_spectrum(f)
             nu_conj = symplectic_spectrum(s @ f @ s.T)
             assert np.max(np.abs(nu - nu_conj)) < 1e-9
+
+
+# squeezed_vacuum(300)'s covariance diag(e^-600, e^600) has a Cholesky factor,
+# but eigh rounds its small eigenvalue to 0
+SQUEEZED_300 = squeezed_vacuum(300.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SQUEEZED_300.symplectic_spectrum(),
+        lambda: physicality_check(SQUEEZED_300),
+        lambda: von_neumann_entropy(SQUEEZED_300),
+        lambda: entanglement_entropy(tensor(vacuum(1), SQUEEZED_300), [1]),
+    ],
+    ids=["symplectic_spectrum", "physicality_check", "von_neumann_entropy", "entanglement_entropy"],
+)
+def test_state_refusal_names_the_covariance_matrix(call):
+    with pytest.raises(NotPositiveDefiniteError, match="^covariance matrix must be positive"):
+        call()
+
+
+def test_state_warning_names_the_covariance_matrix():
+    with pytest.warns(ConditioningWarning, match="^covariance matrix is nearly singular"):
+        squeezed_vacuum(14.0).symplectic_spectrum()
 
 
 class TestWilliamsonDecompose:
