@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -215,7 +216,7 @@ def _padded_words(texts: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(t.ljust(8 * width, b"\0") for t in texts), _WORD).reshape(len(texts), width)
 
 
-def _block_lines(values: np.ndarray, q_words: np.ndarray, p_words: np.ndarray) -> str:
+def _block_lines(values: np.ndarray, q_words: np.ndarray, p_words: np.ndarray) -> bytes:
     """The CSV lines of a 2-D block of values, each led by its line break,
     from the padded q field of each row and p field of each column."""
     rows, cols = values.shape
@@ -224,21 +225,20 @@ def _block_lines(values: np.ndarray, q_words: np.ndarray, p_words: np.ndarray) -
     lines[:, :, :wq] = q_words[:, None]
     lines[:, :, wq : wq + wp] = p_words[None]
     g17_words(values.ravel(), lines.reshape(rows * cols, -1)[:, wq + wp :])
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    return lines.tobytes().translate(None, b"\0")
 
 
-def csv_lines(q: np.ndarray, p: np.ndarray, values: np.ndarray) -> list[str]:
+def csv_lines(q: np.ndarray, p: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
     """The CSV lines "q,p,w" of the grid values[i, j] = w(q[i], p[j]), q in
-    the outer loop, each led by its line break, as strings of up to
-    BLOCK_LINES lines each."""
+    the outer loop, each led by its line break, as ASCII blocks of up to
+    BLOCK_LINES lines each, formatted one block at a time."""
     axes = g17_bytes(np.concatenate([q, p]))
     q_words = _padded_words([b"\n" + t + b"," for t in axes[: q.size]])
     p_words = _padded_words([t + b"," for t in axes[q.size :]])
     values = np.asarray(values, dtype=float)
     n_rows = max(1, BLOCK_LINES // p.size)
     n_cols = min(p.size, BLOCK_LINES)
-    return [
-        _block_lines(values[i : i + n_rows, j : j + n_cols], q_words[i : i + n_rows], p_words[j : j + n_cols])
-        for i in range(0, q.size, n_rows)
-        for j in range(0, p.size, n_cols)
-    ]
+    for i in range(0, q.size, n_rows):
+        for j in range(0, p.size, n_cols):
+            block = values[i : i + n_rows, j : j + n_cols]
+            yield _block_lines(block, q_words[i : i + n_rows], p_words[j : j + n_cols])

@@ -5,8 +5,10 @@ Subcommands: ``state make``, ``evolve``, ``williamson``, ``entropy``,
 grids are CSV with ``# key=value`` preamble lines.  All numeric output is
 locale independent and reproducible byte for byte.
 
-Each ``cmd_*`` returns a JSON document, or for ``wigner`` the CSV text and
-optional summary.  :func:`main` writes that output, prints warnings as
+Each ``cmd_*`` returns a JSON document, or for ``wigner`` the CSV as UTF-8
+bytes and an optional summary.  :func:`main` writes that output as UTF-8
+bytes, whatever the locale, to the ``--out`` file or to stdout, where a
+``--summary`` follows the CSV; it prints warnings as
 ``warning: <message>`` and maps an error's class to an exit code: 0
 success; 2 for an :class:`~gaussphase.errors.InputError` (a malformed
 option, file, shape, parameter or mode index), an ``OSError`` and a
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import io
 import json
 import sys
 import warnings
@@ -44,7 +47,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionError, GaussPhaseError, InputError, NoGroundStateError, NotPureError, ParameterError,
+    ConditioningWarning, DimensionError, DomainError, GaussPhaseError, InputError, NoGroundStateError,
+    NotPureError, ParameterError,
 )
 from .symplectic import _refusing_overflow, make_symplectic_form
 
@@ -279,9 +283,9 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return bounds
 
 
-def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
-    """The grid as CSV text: ``# key=value`` preamble lines, ``q,p,w``,
-    then one ``q,p,w`` line per grid point, q in the outer loop.
+def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> bytes:
+    """The grid as UTF-8 CSV bytes: ``# key=value`` preamble lines,
+    ``q,p,w``, then one ``q,p,w`` line per grid point, q in the outer loop.
 
     Every number is exactly Python's ``"%.17g"`` of the stored double.
     The grid's lines are formatted by :mod:`gaussphase._gridcsv`, a few
@@ -289,9 +293,12 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
     with an exactly built power-of-ten scale, and only a value whose
     rounding that product cannot settle (an exact decimal tie, or one
     within 2**-40 of a tie) or a non-finite value goes through ``%`` on its
-    own.  Every character at which ``str.splitlines`` breaks a line is
-    written escaped in ``descriptor`` (``\\n``, ``\\r``, ``\\x0b``, ...,
-    ``\\u2029``), so that it stays on its preamble line.
+    own.  Each block is appended to one buffer as it is formatted, so the
+    CSV (15 MB at 501 x 501) is held once.  Every character at which
+    ``str.splitlines`` breaks a line is written escaped in ``descriptor``
+    (``\\n``, ``\\r``, ``\\x0b``, ..., ``\\u2029``), so that it stays on
+    its preamble line, and so is a lone surrogate (``\\udce9``, a file name
+    byte that is not UTF-8), so that the bytes are UTF-8.
     """
     from . import _gridcsv
 
@@ -309,10 +316,14 @@ def grid_to_csv(w: wigner.WignerGrid, descriptor: str) -> str:
         f"# hbar={g.hbar:.17g}",
         "q,p,w",
     ]
-    return "".join(["\n".join(preamble), *_gridcsv.csv_lines(g.q, g.p, w.values)])
+    csv = io.BytesIO()
+    csv.write("\n".join(preamble).encode("utf-8", "backslashreplace"))
+    for block in _gridcsv.csv_lines(g.q, g.p, w.values):
+        csv.write(block)
+    return csv.getvalue()
 
 
-def cmd_wigner(args) -> tuple[str, dict | None]:
+def cmd_wigner(args) -> tuple[bytes, dict | None]:
     from . import states, wigner
 
     sources = [args.state is not None, args.fock is not None, args.coherent is not None]
@@ -365,6 +376,8 @@ def cmd_coupled_example(args) -> dict:
         raise NoGroundStateError(
             f"coupling lambda={lam} destabilizes the system (1 + 4 lambda/(m omega^2) <= 0)"
         )
+    if not cmath.isfinite(stiffness):  # a float division overflows to inf without raising
+        raise DomainError("the coupling lambda / (m omega^2) gives non-finite values (float overflow)")
     alpha = float(np.sqrt(stiffness))
     # F / omega, pairwise, in the units x = q sqrt(m omega), y = p / sqrt(m omega).
     # That scaling D is symplectic and local: F's spectrum is omega times this one's,
@@ -378,8 +391,10 @@ def cmd_coupled_example(args) -> dict:
         ]
     )
     ham = dynamics.QuadraticHamiltonian(n_modes=2, f_bar=f)
-    spectrum = williamson._spectrum(ham.f_bar, make_symplectic_form(2), "f")
-    ground = dynamics.normal_mode_ground_state(ham)
+    spectrum = williamson._spectrum(ham.f_bar, make_symplectic_form(2), "f_bar")
+    with warnings.catch_warnings():  # the spectrum has judged this f_bar and warned once
+        warnings.simplefilter("ignore", ConditioningWarning)
+        ground = dynamics.normal_mode_ground_state(ham)
     reduced = states.partial_trace(ground, [0])
     nu_reduced = float(reduced.symplectic_spectrum()[0])
     s_e = entropy.entanglement_entropy(ground, [0], args.base)
@@ -478,20 +493,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_WRITE_CHUNK = 1 << 20  # characters
+def _write(data: bytes, path: str | None) -> None:
+    """Writes the UTF-8 bytes ``data`` and a newline to the file ``path``,
+    or to stdout when it is None.
 
-
-def _write_line(fh, text: str) -> None:
-    """Writes text and a newline, text in slices of _WRITE_CHUNK characters.
-
-    A 501 x 501 grid's CSV is about 15 MB; text + "\n", or encoding it in one
-    write, would hold two more full-size copies beside it.  Where those land
-    (heap or their own mapping) depends on the sizes of earlier calls in the
-    process, so the peak memory of a process that exports several grids
-    would vary by a whole copy with the order of those sizes."""
-    for start in range(0, len(text), _WRITE_CHUNK):
-        fh.write(text[start : start + _WRITE_CHUNK])
-    fh.write("\n")
+    Stdout gets the bytes on its binary buffer, once the text written to it
+    before is flushed, so that the output is UTF-8 whatever the locale; a
+    stream with no buffer (an ``io.StringIO`` under ``redirect_stdout``)
+    gets them decoded.  A file or a buffer gets ``data`` itself, never a
+    copy: it is a whole grid's CSV, 15 MB at 501 x 501."""
+    if path is not None:
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.write(b"\n")
+        return
+    stdout = sys.stdout
+    if hasattr(stdout, "buffer"):
+        stdout.flush()
+        stdout.buffer.write(data)
+        stdout.buffer.write(b"\n")
+    else:
+        stdout.write(data.decode("utf-8"))
+        stdout.write("\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -504,14 +527,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             finally:
                 for item in caught:
                     print(f"warning: {item.message}", file=sys.stderr)
-        text, summary = result if isinstance(result, tuple) else (_json_dump(result), None)
-        if args.out is None:
-            _write_line(sys.stdout, text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _write_line(fh, text)
+        data, summary = result if isinstance(result, tuple) else (_json_dump(result).encode(), None)
+        _write(data, args.out)
         if summary is not None:
-            sys.stdout.write(_json_dump(summary) + "\n")
+            _write(_json_dump(summary).encode(), None)
     except NotPureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

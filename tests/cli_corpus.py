@@ -374,6 +374,8 @@ CORPUS = [
     Row("wigner sq6.json --qrange=-8:8 --prange=-8:8 --nq 301 --np 301", 0, "sq6.csv"),
     Row("wigner c1.json --nq 41 --np 41 --summary", 0, "wc1.csv"),
     Row("wigner --coherent 1-1i --qrange=-12:12 --prange=-12:12 --nq 25 --np 25 --hbar 2", 0),
+    # about 1.4 MB of CSV on stdout's buffer, then the summary's JSON after it
+    Row("wigner --fock 1 --nq 161 --np 161 --summary", 0),
     Row("wigner --fock 2 --qrange=-1:1 --nq 5 --np 5", 0, None,
         ("warning: grid boundary carries 3.68e-01 of the peak Wigner value; widen the grid for accurate integrals",)),
     Row("wigner --fock 3 --qrange=-3:3 --prange=-3:3 --nq 31 --np 31", 0, "f3n.csv",
@@ -440,8 +442,16 @@ CORPUS = [
         ("error: the spectrum or ground state in units of m and omega gives non-finite values (float overflow)",)),
     # lambda / (m omega^2) = 1e300 puts 1 + 4e300 beside 1 in one F
     Row("coupled-example --lambda 1 --m 1e-300", 3, "cm300.json", (re.compile(
-        r"error: f must be positive definite \(min eigenvalue -?\d\.\d{3}e[+-]\d\d\)"
+        r"error: f_bar must be positive definite \(min eigenvalue -?\d\.\d{3}e[+-]\d\d\)"
     ),)),
+    # the spectrum and the ground state factor the one F, which warns once
+    Row("coupled-example --lambda 1 --m 1e-13", 0, None,
+        (re.compile(r"warning: f_bar is nearly singular \(eigenvalue ratio \d\.\d{3}e-\d\d\)"),)),
+    # lambda / (m omega^2) = 1e600 overflows before F is built
+    Row("coupled-example --lambda 1e300 --m 1e-300", 3, "ckap.json",
+        ("error: the coupling lambda / (m omega^2) gives non-finite values (float overflow)",)),
+    Row("coupled-example --lambda=-1e300 --m 1e-300", 3, "ckapneg.json",
+        ("error: coupling lambda=-1e+300 destabilizes the system (1 + 4 lambda/(m omega^2) <= 0)",)),
     Row("coupled-example --lambda 1 --m -1", 2, "cmneg.json",
         ("error: m and omega must be positive",)),
     Row("coupled-example --lambda 1 --m=0", 2, "cm0.json",

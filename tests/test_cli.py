@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,10 +443,10 @@ def test_grid_to_csv_matches_per_element_formatting(n_q, n_p):
     values = np.resize(layout_values(), (n_q, n_p))
     values[-1, -1] = np.random.default_rng(5).uniform(-0.3, 0.3)  # a full mantissa
     w = WignerGrid(grid=grid, values=values)
-    text = grid_to_csv(w, "pinned")
-    assert text == reference_csv(w, "pinned")
+    csv = grid_to_csv(w, "pinned")
+    assert csv == reference_csv(w, "pinned").encode()
     if n_q * n_p > layout_values().size:
-        assert ",-0\n" in text and "e-324\n" in text and "e-310," in text
+        assert b",-0\n" in csv and b"e-324\n" in csv and b"e-310," in csv
 
 
 # every character at which str.splitlines breaks a line, as the preamble writes it
@@ -482,18 +487,64 @@ def test_line_break_in_coherent_amplitude_stays_in_preamble(tmp_path, capsys, am
     assert "\r" not in lines[0] and lines[8] == "q,p,w" and len(lines) == 9 + 9
 
 
-def test_grid_output_longer_than_write_slice_is_whole(capsys, tmp_path):
-    # 161 x 161 rows make about 1.4 MB of CSV, more than one 1 MiB write slice
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_csv_is_utf8_whatever_the_locale(tmp_path, monkeypatch, encoding):
+    # stdout once took the locale's encoding: ascii ended in a UnicodeEncodeError
+    # traceback, and latin-1 wrote the preamble's "é" as the one byte 0xE9
+    monkeypatch.chdir(tmp_path)
+    argv = ["wigner", "é.json", "--nq", "3", "--np", "3"]
+    assert main(["state", "make", "vacuum", "--out", "é.json"]) == 0
+    assert main([*argv, "--out", "w.csv"]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "gaussphase.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == Path("w.csv").read_bytes()
+    assert child.stdout.startswith("# state=state:é.json\n".encode())
+
+
+def test_undecodable_file_name_is_escaped_in_preamble(tmp_path, monkeypatch, capsysbinary):
+    # a file name byte that is not UTF-8 reaches argv as a lone surrogate, which
+    # --out once refused with a UnicodeEncodeError traceback
+    monkeypatch.chdir(tmp_path)
+    argv = ["wigner", "\udce9.json", "--nq", "3", "--np", "3"]
+    assert main(["state", "make", "vacuum", "--out", "\udce9.json"]) == 0
+    assert main([*argv, "--out", "w.csv"]) == 0
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert out == Path("w.csv").read_bytes()
+    assert out.startswith(b"# state=state:\\udce9.json\n")
+
+
+def test_grid_output_longer_than_write_slice_is_whole(capsysbinary, tmp_path):
+    # 161 x 161 rows make about 1.4 MB of CSV, whole on stdout and in the --out file
     argv = ["wigner", "--fock", "1", "--nq", "161", "--np", "161"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
     grid = PhaseSpaceGrid(q_min=-6, q_max=6, p_min=-6, p_max=6, n_q=161, n_p=161)
-    expected = grid_to_csv(eval_fock(1, grid), "fock:1") + "\n"
+    expected = grid_to_csv(eval_fock(1, grid), "fock:1") + b"\n"
     assert len(expected) > 1 << 20
     assert out == expected
     path = tmp_path / "w.csv"
-    assert run(capsys, *argv, "--out", str(path))[0] == 0
-    assert path.read_text(encoding="utf-8") == expected
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == expected
+
+
+def test_grid_export_holds_its_csv_once(tmp_path):
+    # the blocks, their join and the encoded text once lay side by side: 2.1x the file
+    path = tmp_path / "w.csv"
+    argv = ["wigner", "--fock", "3", "--nq", "501", "--np", "501", "--out", str(path)]
+    assert main(argv) == 0  # imports the modules and builds the decimal scales first
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * path.stat().st_size
 
 
 class TestCoupledExample:
