@@ -50,7 +50,7 @@ from .errors import (
     ConditioningWarning, DimensionError, DomainError, GaussPhaseError, InputError, NoGroundStateError,
     NotPureError, ParameterError,
 )
-from .symplectic import _refusing_overflow, make_symplectic_form
+from .symplectic import _refusing_overflow
 
 if TYPE_CHECKING:
     from . import dynamics, states, wigner
@@ -234,8 +234,7 @@ def cmd_williamson(args) -> dict:
     from . import williamson
 
     state = load_state(args.state)
-    omega = make_symplectic_form(state.n_modes)
-    dec = williamson._decomposition(state.cov, omega, "covariance matrix")  # admitted by load_state
+    dec = williamson._decomposition(state.cov, "covariance matrix")  # admitted by load_state
     return {
         "nu": dec.nu.tolist(),
         "sigma": dec.sigma.tolist(),
@@ -391,7 +390,7 @@ def cmd_coupled_example(args) -> dict:
         ]
     )
     ham = dynamics.QuadraticHamiltonian(n_modes=2, f_bar=f)
-    spectrum = williamson._spectrum(ham.f_bar, make_symplectic_form(2), "f_bar")
+    spectrum = williamson._spectrum(ham.f_bar, "f_bar")
     with warnings.catch_warnings():  # the spectrum has judged this f_bar and warned once
         warnings.simplefilter("ignore", ConditioningWarning)
         ground = dynamics.normal_mode_ground_state(ham)

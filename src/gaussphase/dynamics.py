@@ -30,7 +30,7 @@ from .errors import (
 from .states import GaussianState
 from .symplectic import (
     _checked, _expm, _finite, _flushed, _frozen, _n_modes, _refusing_overflow, _symmetrized,
-    _symplectic_check, _trusted, make_symplectic_form,
+    _symplectic_check, _times_omega, _trusted,
 )
 from .williamson import _decomposition
 
@@ -75,7 +75,7 @@ def normal_mode_ground_state(hamiltonian: QuadraticHamiltonian) -> GaussianState
             definite (no normalizable ground state exists).
     """
     try:
-        dec = _decomposition(hamiltonian.f_bar, make_symplectic_form(hamiltonian.n_modes), "f_bar")
+        dec = _decomposition(hamiltonian.f_bar, "f_bar")
     except NotPositiveDefiniteError as exc:
         raise NoGroundStateError(
             "Hamiltonian matrix is not positive definite "
@@ -114,16 +114,16 @@ class GaussianChannel:
         n = _n_modes(self.s, "s")
         s = _checked(self.s, "s", (2 * n, 2 * n))
         d = _checked(self.d, "d", (2 * n,))
-        _frozen(self, s=s, d=d, residual=_symplectic_residual(s, make_symplectic_form(n)))
+        _frozen(self, s=s, d=d, residual=_symplectic_residual(s))
 
     @property
     def n_modes(self) -> int:
         return self.s.shape[0] // 2
 
 
-def _symplectic_residual(s: np.ndarray, omega: np.ndarray) -> float:
+def _symplectic_residual(s: np.ndarray) -> float:
     """The residual of an admitted ``s``; DomainError if it is not symplectic."""
-    ok, residual = _symplectic_check(s, omega)
+    ok, residual = _symplectic_check(s)
     if not ok:
         raise DomainError(f"s is not symplectic (residual {residual:.3e})")
     return residual
@@ -178,27 +178,27 @@ def rotation_hamiltonian(n_modes: int = 1) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(n_modes=n_modes, f_bar=np.eye(2 * n_modes))
 
 
-def _generator(h: QuadraticHamiltonian, omega: np.ndarray) -> np.ndarray:
+def _generator(h: QuadraticHamiltonian, n_modes: int) -> np.ndarray:
     """The generator [[Omega^-1 Fbar, Omega^-1 alpha], [0, 0]] of ``h``, for
-    the symplectic form ``omega`` of the modes it must act on."""
-    n_modes = len(omega) // 2
+    the ``n_modes`` modes it must act on.  Omega^-1 swaps the rows of each
+    pair with a sign, which :func:`~gaussphase.symplectic._times_omega`
+    writes as (Fbar^T Omega)^T and alpha^T Omega."""
     if h.n_modes != n_modes:
         raise DimensionError(f"hamiltonian acts on {h.n_modes} modes, state has {n_modes}")
-    omega_inv = omega.T
     aug = np.zeros((2 * n_modes + 1, 2 * n_modes + 1))
-    np.matmul(omega_inv, h.f_bar, out=aug[:-1, :-1])
-    aug[:-1, -1] = omega_inv @ h.alpha
+    _times_omega(h.f_bar.T, out=aug[:-1, :-1].T)
+    _times_omega(h.alpha, out=aug[:-1, -1])
     return aug
 
 
-def _channel(e_aug: np.ndarray, omega: np.ndarray) -> GaussianChannel:
-    """The channel (S, d) of an exponential [[S, d], [0, 1]] of generators
-    on the modes of ``omega``.  The solve inside ``_expm`` can return inf or
-    NaN without a floating-point error, so S and d are tested for that."""
+def _channel(e_aug: np.ndarray) -> GaussianChannel:
+    """The channel (S, d) of an exponential [[S, d], [0, 1]] of generators.
+    The solve inside ``_expm`` can return inf or NaN without a
+    floating-point error, so S and d are tested for that."""
     s, d = _flushed(e_aug[:-1, :-1]), e_aug[:-1, -1] + 0.0  # no -0.0
     _finite(s, "s")
     _finite(d, "d")
-    residual = _symplectic_residual(s, omega)
+    residual = _symplectic_residual(s)
     return _trusted(GaussianChannel, s=s, d=d, residual=residual)
 
 
@@ -215,8 +215,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
     not run on subnormal numbers.
     """
     _finite(t, "t")
-    omega = make_symplectic_form(h.n_modes)
-    aug = _generator(h, omega)
+    aug = _generator(h, h.n_modes)
     dim = 2 * h.n_modes
     with _refusing_overflow(f"the channel of this Hamiltonian at t = {t}"):
         aug *= t  # in place: one (2n+1)-square input is alive in _expm
@@ -226,7 +225,7 @@ def generate_channel(h: QuadraticHamiltonian, t: float) -> GaussianChannel:
         aug[:dim, dim] = np.ldexp(aug[:dim, dim], -shift)
         e_aug = _expm(aug)
         e_aug[:dim, dim] = np.ldexp(e_aug[:dim, dim], shift)
-        return _channel(e_aug, omega)
+        return _channel(e_aug)
 
 
 def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -242,9 +241,13 @@ def apply_channel(channel: GaussianChannel, state: GaussianState) -> GaussianSta
         )
     s = channel.s
     with _refusing_overflow("the channel output"):
-        half = 0.5 * (s @ state.cov @ s.T)
+        s_cov = s @ state.cov
+        half = s_cov @ s.T
+        half *= 0.5
+        cov = np.add(half, half.T, out=s_cov)  # S sigma is scratch now
+        del half
         mean = s @ state.mean + channel.d
-    return _trusted(GaussianState, n_modes=state.n_modes, mean=mean, cov=_flushed(half + half.T))
+    return _trusted(GaussianState, n_modes=state.n_modes, mean=mean, cov=_flushed(cov))
 
 
 HamiltonianLike = Union[QuadraticHamiltonian, Callable[[float], QuadraticHamiltonian]]
@@ -283,7 +286,6 @@ def evolve_ode(
         raise ParameterError("t must be non-negative")
     if not callable(h):
         return apply_channel(generate_channel(h, t), state)
-    omega = make_symplectic_form(state.n_modes)
     total = np.eye(2 * state.n_modes + 1)
     with _refusing_overflow(f"the propagator up to t = {t}"):  # an infinite t / dt too
         n_steps = max(1, math.ceil(t / dt - 1e-12))
@@ -292,7 +294,7 @@ def evolve_ode(
         step = t / n_steps
         nodes = (0.5 - math.sqrt(3.0) / 6.0) * step, (0.5 + math.sqrt(3.0) / 6.0) * step
         for k in range(n_steps):
-            a1, a2 = (_generator(h(k * step + node), omega) for node in nodes)
+            a1, a2 = (_generator(h(k * step + node), state.n_modes) for node in nodes)
             magnus = step / 2.0 * (a1 + a2) + math.sqrt(3.0) * step**2 / 12.0 * (a2 @ a1 - a1 @ a2)
             total = _expm(magnus) @ total
-    return apply_channel(_channel(total, omega), state)
+    return apply_channel(_channel(total), state)

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DimensionError, ModeIndexError, ParameterError, UnphysicalStateError
 from .symplectic import (
     _MAX_FLOATS, _checked, _finite, _frozen, _refusing_overflow, _symmetrized, _trusted,
-    make_symplectic_form,
 )
 from .williamson import _spectrum
 
@@ -71,7 +70,7 @@ class GaussianState:
         """The symplectic eigenvalues of the admitted covariance, ascending,
         factored without admitting it again; a refusal names the
         covariance matrix."""
-        return _spectrum(self.cov, make_symplectic_form(self.n_modes), "covariance matrix")
+        return _spectrum(self.cov, "covariance matrix")
 
 
 @dataclass(frozen=True)

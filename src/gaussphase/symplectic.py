@@ -8,7 +8,12 @@ which the CLI converts to pairwise order on load.
 The symplectic matrix Omega is antisymmetric with Omega^2 = -1, and its
 inverse is Omega^-1 = -Omega = Omega^T.  It is the direct sum of n blocks
 [[0, -1], [1, 0]].  :func:`make_symplectic_form` returns it as a plain
-read-only array, whose shape (2n, 2n) carries the mode count.
+read-only array, whose shape (2n, 2n) carries the mode count.  No
+computation of the package builds or multiplies it: Omega is a signed
+permutation, so :func:`_times_omega` forms m Omega and m Omega^-1 by
+swapping the columns of each pair, in O(n^2) and with the bits of the
+dense product.  A ``form`` passed to a public function is only compared
+with Omega (:func:`_form_shape`).
 
 :func:`_checked` and :func:`_n_modes` admit every array that enters the
 package, once, and :func:`_frozen` stores a value object's fields as
@@ -40,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ParameterError
 
 DEFAULT_SYMPLECTIC_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
@@ -182,7 +187,9 @@ def _flushed(m: np.ndarray) -> np.ndarray:
     returned bit for bit.
     """
     mag = np.abs(m)
-    return m * (mag >= _FLUSH_RATIO * mag.max())
+    keep = mag >= _FLUSH_RATIO * mag.max()
+    del mag
+    return m * keep
 
 
 def make_symplectic_form(n_modes: int) -> np.ndarray:
@@ -198,6 +205,45 @@ def make_symplectic_form(n_modes: int) -> np.ndarray:
     flat[2 * n :: 4 * n + 2] = 1.0
     omega.setflags(write=False)
     return omega
+
+
+def _times_omega(m: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """m Omega, or m Omega^-1 if ``inverse``, without forming Omega.
+
+    Column 2k of m Omega is m[:, 2k+1] and column 2k+1 is -m[:, 2k];
+    m Omega^-1 = -m Omega.  The pairs of the last axis are swapped into
+    ``out`` (a new array when None), so a vector m gives m^T Omega, which
+    is Omega^-1 m, and a transposed view of a matrix gives (m^T Omega)^T =
+    Omega^-1 m.  Adding 0.0 turns each -0.0 into the +0.0 that a BLAS
+    product gives for a sum of zeros, so for finite m the result holds
+    the bits of the dense product with Omega or Omega^-1."""
+    if out is None:
+        out = np.empty_like(m)
+    sign = -1.0 if inverse else 1.0
+    np.multiply(m[..., 1::2], sign, out=out[..., 0::2])
+    np.multiply(m[..., 0::2], -sign, out=out[..., 1::2])
+    out += 0.0
+    return out
+
+
+def _form_shape(m, name: str, form) -> tuple[int, int]:
+    """The shape (2n, 2n) that ``m`` must have: that of ``form`` when one
+    is passed, or that of ``m`` when it is square of even size.  A passed
+    ``form`` must be :func:`make_symplectic_form`'s Omega; it is only
+    compared with it, and enters no product.
+
+    Raises:
+        DimensionError: if ``form`` is None and ``m`` is not square of even
+            size, or ``form`` is not.
+        ParameterError: if ``form`` is any other matrix of that shape.
+    """
+    if form is None:
+        dim = 2 * _n_modes(m, name)
+    else:
+        dim = 2 * _n_modes(form, "form")
+        if not np.array_equal(form, make_symplectic_form(dim // 2)):
+            raise ParameterError("form must be the symplectic form make_symplectic_form(n)")
+    return dim, dim
 
 
 class SymplecticCheck(NamedTuple):
@@ -219,8 +265,8 @@ def check_symplectic(m: np.ndarray, form: np.ndarray | None = None) -> Symplecti
 
     Args:
         m: real, finite square matrix of even dimension 2n.
-        form: the matrix Omega of :func:`make_symplectic_form` to test
-            against; built from the dimension of ``m`` when omitted.
+        form: None, or the matrix Omega of :func:`make_symplectic_form`,
+            whose shape ``m`` must then have.
 
     Returns:
         SymplecticCheck(ok, residual).
@@ -228,25 +274,32 @@ def check_symplectic(m: np.ndarray, form: np.ndarray | None = None) -> Symplecti
     Raises:
         DimensionError: if ``m`` is not square of even size, or does not
             match ``form``.
+        ParameterError: if ``form`` is not Omega.
         DomainError: if an entry of ``m`` is NaN or infinite, or if
             m Omega^-1 m^T overflows.
     """
-    if form is None:
-        form = make_symplectic_form(_n_modes(m, "m"))
-    return _symplectic_check(_checked(m, "m", form.shape), form)
+    return _symplectic_check(_checked(m, "m", _form_shape(m, "m", form)))
 
 
-def _symplectic_check(m: np.ndarray, form: np.ndarray) -> SymplecticCheck:
+def _symplectic_check(m: np.ndarray) -> SymplecticCheck:
     """The test of :func:`check_symplectic` on an admitted ``m``: a finite
-    float matrix of the shape of ``form``."""
-    omega_inv = form.T
-    m_omega_inv = m @ omega_inv
+    float matrix of size 2n."""
+    m_omega_inv = _times_omega(m, inverse=True)
     # Omega^-1 is a signed permutation, so |m Omega^-1| = |m| |Omega^-1|;
     # the scale is formed only when the absolute bound is exceeded
     tol = DEFAULT_SYMPLECTIC_TOL
     with _refusing_overflow("m Omega^-1 m^T"):
-        residual = float(np.abs(m_omega_inv @ m.T - omega_inv).max())
-        ok = residual <= tol or residual <= tol * float((np.abs(m_omega_inv) @ np.abs(m).T).max())
+        diff = m_omega_inv @ m.T
+        # subtract Omega^-1 at its 2n nonzero entries, (2k, 2k+1) = 1 and
+        # (2k+1, 2k) = -1, which lie 4n + 2 apart in the flat array
+        dim = len(m)
+        flat = diff.reshape(-1)
+        flat[1 :: 2 * dim + 2] -= 1.0
+        flat[dim :: 2 * dim + 2] += 1.0
+        residual = float(np.abs(diff, out=diff).max())
+        ok = residual <= tol or residual <= tol * float(
+            (np.abs(m_omega_inv, out=m_omega_inv) @ np.abs(m).T).max()
+        )
     return SymplecticCheck(ok, residual)
 
 
@@ -298,13 +351,24 @@ def _ell_table(a: np.ndarray) -> Callable[[int], int]:
     return ell
 
 
+def _accumulated(acc: np.ndarray, terms) -> np.ndarray:
+    """acc + b_1 p_1 + b_2 p_2 + ... for the (b_k, p_k) of ``terms``, summed
+    left to right into ``acc`` in place: the bits of the same sum written
+    out, with one product alive at a time."""
+    for b, p in terms:
+        acc += b * p
+    return acc
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a real or complex square matrix.
 
     Scaling and squaring with a Pade approximant of degree m = 3, 5, 7, 9
     or 13, chosen from d_k = ||a^k||_1^(1/k) (Algorithm 5.1 of Al-Mohy &
     Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), with exact norms).
-    The exponential of the zero matrix is exactly the identity.
+    The exponential of the zero matrix is exactly the identity.  Each
+    power is dropped once no term needs it, so the largest inputs hold
+    few matrices of their size at once.
     """
     eye = np.eye(len(a), dtype=a.dtype)
     if not a.any():
@@ -322,20 +386,30 @@ def _expm(a: np.ndarray) -> np.ndarray:
         m = next((k for k in (7, 9) if max(d6, d8) <= _THETA[k] and ell(k) == 0), 13)
     b, s = _PADE[m], 0
     if m == 13:
+        del powers[4]  # A^8 served only d8
         eta = min(max(d6, d8), max(d8, _norm1(a4 @ a6) ** (1 / 10)))
         s = math.ceil(math.log2(eta / _THETA[13])) if eta > _THETA[13] else 0
         s += (_ell_table(a * 2.0**-s) if s else ell)(13)
+        del ell
         if s:
             a = a * 2.0**-s
-            eye, a2, a4, a6 = (p * 2.0 ** (-2 * k * s) for k, p in enumerate(powers[:4]))
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+            for k, p in enumerate(powers):
+                p *= 2.0 ** (-2 * k * s)
+        u = _accumulated(b[13] * a6, ((b[11], a4), (b[9], a2)))
+        u = a @ _accumulated(a6 @ u, ((b[7], a6), (b[5], a4), (b[3], a2), (b[1], eye)))
+        v = _accumulated(b[12] * a6, ((b[10], a4), (b[8], a2)))
+        v = _accumulated(a6 @ v, ((b[6], a6), (b[4], a4), (b[2], a2), (b[0], eye)))
     else:
-        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers[: m // 2 + 1]))
-        v = sum(b[2 * k] * p for k, p in enumerate(powers[: m // 2 + 1]))
-    r = np.linalg.solve(v - u, v + u)
+        del ell
+        powers = powers[: m // 2 + 1]
+        u = a @ _accumulated(b[1] * eye, zip(b[3::2], powers[1:]))
+        v = _accumulated(b[0] * eye, zip(b[2::2], powers[1:]))
+    del powers, eye, a2, a4, a6
+    q = v - u
+    v += u  # p = v + u
+    del u
+    r = np.linalg.solve(q, v)
+    del q, v
     for _ in range(s):
         r = r @ r
     return r

@@ -43,7 +43,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 from unittest import mock
 
 from gaussphase.cli import main
@@ -515,11 +515,19 @@ def run_row(row: Row, console: list[str] | None = None) -> Result:
     return Result(code, stdout, stderr, written)
 
 
-def run_corpus(directory: str, console: list[str] | None = None) -> list[Result]:
+def run_corpus(
+    directory: str, console: list[str] | None = None, rows: Sequence[Row] = CORPUS
+) -> list[Result]:
     """Writes :data:`INPUTS` into ``directory`` (as JSON, or bytes as they
-    are) and runs every row there, in order (see :func:`run_row`).  COLUMNS
+    are) and runs ``rows`` there, in order (see :func:`run_row`).  COLUMNS
     is fixed so that argparse wraps its usage lines alike in process and in
-    a child, on any terminal."""
+    a child, on any terminal.  Each entry of PYTHONPATH is made absolute
+    against the directory the run starts in, so that a child started in
+    ``directory`` finds what ``PYTHONPATH=src`` names."""
+    env = {"COLUMNS": "80"}
+    if os.environ.get("PYTHONPATH"):
+        entries = os.environ["PYTHONPATH"].split(os.pathsep)
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, entries))
     cwd = os.getcwd()
     os.chdir(directory)
     try:
@@ -530,8 +538,8 @@ def run_corpus(directory: str, console: list[str] | None = None) -> list[Result]
             else:
                 with open(name, "w", encoding="utf-8") as fh:
                     json.dump(content, fh)
-        with mock.patch.dict(os.environ, COLUMNS="80"):
-            return [run_row(row, console) for row in CORPUS]
+        with mock.patch.dict(os.environ, env):
+            return [run_row(row, console) for row in rows]
     finally:
         os.chdir(cwd)
 

@@ -1,14 +1,18 @@
 """Every row of the CLI corpus (``tests/cli_corpus.py``), run in process and
 checked by ``cli_corpus.check``; a row that exits 0 for every option of
 the parser and for every command line of README's "Command line" block;
-and the same output from both file orderings."""
+the same output from both file orderings; and a row run through a child
+whose PYTHONPATH entries are relative."""
 
 import argparse
+import os
+import sys
 from pathlib import Path
 
 import pytest
 from cli_corpus import CORPUS, check, row_id, run_corpus
 
+import gaussphase
 from gaussphase.cli import build_parser
 
 
@@ -99,3 +103,22 @@ def test_hamiltonian_orderings_differ_only_in_the_recorded_path(results):
     qpqp = _stdout(results, "evolve m2.json --hamiltonian hq.json --time 0.7")
     qqpp = _stdout(results, "evolve m2.json --hamiltonian hq_qqpp.json --time 0.7")
     assert qpqp.replace('"hq.json"', '"hq_qqpp.json"') == qqpp
+
+
+def test_a_child_finds_relative_pythonpath_entries(tmp_path, monkeypatch):
+    # run_corpus starts each child in its own directory; the child's entry
+    # module lies on a relative PYTHONPATH entry alone, so it starts only
+    # when run_corpus resolves that entry against the directory of the run
+    shim = tmp_path / "shim"
+    shim.mkdir()
+    (shim / "corpus_entry.py").write_text("import sys\nfrom gaussphase.cli import main\nsys.exit(main())\n")
+    src = Path(gaussphase.__file__).resolve().parents[1]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["shim", os.path.relpath(src, tmp_path)]))
+    row = next(row for row in CORPUS if row.argv == "williamson m3.json")
+    (tmp_path / "child").mkdir()
+    (tmp_path / "in-process").mkdir()
+    (child,) = run_corpus("child", [sys.executable, "-m", "corpus_entry"], [row])
+    (in_process,) = run_corpus("in-process", rows=[row])
+    assert not check(row, child), check(row, child)
+    assert child == in_process

@@ -3,11 +3,16 @@ import json
 import numpy as np
 import pytest
 from conftest import to_blockwise
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaussphase import (
     DimensionError,
+    DomainError,
     GaussianChannel,
     GaussianState,
+    ParameterError,
     apply_channel,
     check_symplectic,
     generate_channel,
@@ -18,6 +23,7 @@ from gaussphase import (
     williamson_decompose,
 )
 from gaussphase.cli import load_state, main, state_from_dict
+from gaussphase.symplectic import DEFAULT_SYMPLECTIC_TOL, _times_omega
 
 BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -84,6 +90,67 @@ def test_passed_form_gives_the_same_bits_as_none(hamiltonian, thermal_nu):
         assert np.array_equal(getattr(with_form, field), getattr(without, field))
     assert with_form.residual_diag == without.residual_diag
     assert with_form.residual_symplectic == without.residual_symplectic
+
+
+def _bits(a):
+    """The dtype, shape and bytes of an array: equal exactly when two arrays
+    hold the same floats, signed zeros included."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+# every finite float: signed zeros, subnormals and the largest magnitudes
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_omega_permutations_have_the_bits_of_the_dense_products(n, data):
+    m = data.draw(arrays(float, (2 * n, 2 * n), elements=FINITE))
+    vector = data.draw(arrays(float, 2 * n, elements=FINITE))
+    omega = make_symplectic_form(n)
+    assert _bits(_times_omega(m)) == _bits(m @ omega)
+    assert _bits(_times_omega(m, inverse=True)) == _bits(m @ omega.T)
+    # rows, as _generator forms Omega^-1 Fbar and Omega^-1 alpha
+    rows = np.empty_like(m)
+    _times_omega(m.T, out=rows.T)
+    assert _bits(rows) == _bits(omega.T @ m)
+    assert _bits(_times_omega(vector)) == _bits(omega.T @ vector)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 8),
+    data=st.data(),
+    # every product of two entries and every sum of 16 of them is finite
+    bound=st.sampled_from([1e-300, 1.0, 1e150]),
+)
+def test_check_symplectic_has_the_bits_of_the_dense_residual(n, data, bound):
+    m = data.draw(arrays(float, (2 * n, 2 * n), elements=st.floats(-bound, bound)))
+    omega_inv = make_symplectic_form(n).T
+    residual = float(np.abs(m @ omega_inv @ m.T - omega_inv).max())
+    scale = float((np.abs(m @ omega_inv) @ np.abs(m).T).max())
+    ok = residual <= DEFAULT_SYMPLECTIC_TOL or residual <= DEFAULT_SYMPLECTIC_TOL * scale
+    check = check_symplectic(m)
+    assert check.ok == ok
+    assert _bits(check.residual) == _bits(residual)
+
+
+def test_check_symplectic_refuses_overflow():
+    with pytest.raises(DomainError, match="overflow"):
+        check_symplectic(np.full((2, 2), 1e200))
+
+
+@pytest.mark.parametrize("n_modes", [1, 3])
+@pytest.mark.parametrize("factor", [-1.0, 2.0], ids=["minus-omega", "two-omega"])
+@pytest.mark.parametrize(
+    "call", [check_symplectic, symplectic_spectrum, williamson_decompose],
+    ids=lambda f: f.__name__,
+)
+def test_a_form_other_than_omega_is_refused(n_modes, factor, call):
+    form = factor * make_symplectic_form(n_modes)
+    with pytest.raises(ParameterError, match="make_symplectic_form"):
+        call(np.eye(2 * n_modes), form)
 
 
 @pytest.mark.parametrize("n_modes", range(1, 7))

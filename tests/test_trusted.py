@@ -3,8 +3,8 @@ Wigner grids built by ``symplectic._trusted``.
 
 Each skips its class's constructor and runs only the checks its inputs
 have not passed: a channel tests that S and d are finite and that S is
-symplectic, against the one Omega its builder made; a grid warns about its
-boundary and then takes ``wigner._bounded``.  The results hold the same
+symplectic, with Omega applied as a permutation and never built; a grid
+warns about its boundary and then takes ``wigner._bounded``.  The results hold the same
 bits as the public constructor's.
 
 An admitted matrix on the spectral path, a state's covariance or a
@@ -42,6 +42,7 @@ from gaussphase import (
     physicality_check,
     squeeze_hamiltonian,
     squeezed_vacuum,
+    states,
     symplectic,
     tensor,
     thermal,
@@ -152,7 +153,7 @@ def test_factored_state_has_the_bits_of_a_public_call(n, data, scale, noise):
             return
         assert _same_bits(again, state.cov)
         assert _same_bits(spectrum, williamson.symplectic_spectrum(state.cov))
-        dec = williamson._decomposition(state.cov, symplectic.make_symplectic_form(n), "cov")
+        dec = williamson._decomposition(state.cov, "cov")
         public = williamson.williamson_decompose(state.cov)
     assert all(_same_bits(getattr(dec, k), getattr(public, k)) for k in vars(public))
 
@@ -167,19 +168,35 @@ def omega_builds(monkeypatch):
         calls.append(n_modes)
         return build(n_modes)
 
-    for module in (symplectic, dynamics, williamson):
-        monkeypatch.setattr(module, "make_symplectic_form", counted)
+    for module in (symplectic, dynamics, states, williamson):
+        monkeypatch.setattr(module, "make_symplectic_form", counted, raising=False)
     return calls
 
 
-def test_generate_channel_builds_omega_once(omega_builds):
-    generate_channel(squeeze_hamiltonian(0.3), 1.0)
-    assert omega_builds == [1]
+OMEGA1 = symplectic.make_symplectic_form(1)
+
+# site -> a call that multiplies by Omega, or checks against it
+OMEGA_FREE = {
+    "generate_channel": lambda: generate_channel(squeeze_hamiltonian(0.3), 1.0),
+    # a callable Hamiltonian, over 1, 4 and 100 Magnus steps
+    "evolve_ode-dt=1.0": lambda: evolve_ode(_ramp, SQUEEZED, 1.0, 1.0),
+    "evolve_ode-dt=0.25": lambda: evolve_ode(_ramp, SQUEEZED, 1.0, 0.25),
+    "evolve_ode-dt=0.01": lambda: evolve_ode(_ramp, SQUEEZED, 1.0, 0.01),
+    "apply_channel": lambda: apply_channel(CHANNEL, SQUEEZED),
+    "GaussianChannel": lambda: GaussianChannel(CHANNEL.s, CHANNEL.d),
+    "GaussianState.symplectic_spectrum": lambda: TMSV.symplectic_spectrum(),
+    "williamson_decompose": lambda: williamson.williamson_decompose(TMSV.cov),
+}
 
 
-@pytest.mark.parametrize("dt", [1.0, 0.25, 0.01])
-def test_callable_evolve_ode_builds_omega_once_whatever_its_step_count(omega_builds, dt):
-    evolve_ode(_ramp, SQUEEZED, 1.0, dt)
+@pytest.mark.parametrize("site", OMEGA_FREE)
+def test_builds_no_omega(omega_builds, site):
+    OMEGA_FREE[site]()
+    assert omega_builds == []
+
+
+def test_a_passed_form_is_compared_with_one_built_omega(omega_builds):
+    assert symplectic.check_symplectic(CHANNEL.s, OMEGA1).ok
     assert omega_builds == [1]
 
 
